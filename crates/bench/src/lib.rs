@@ -15,10 +15,11 @@
 //! | `ablation_profile` | profile size t sweep | §4 choice of t=5000 |
 //! | `ablation_ngram` | n-gram length sweep | §1/§4 choice of n=4 |
 //! | `ablation_copies` | classifier copies (n-grams/clock) | §3.3 scalability |
+//! | `ablation_mixed_ngrams` | fixed n=4 vs mixed 1–5-grams | §1 hardware simplification |
+//! | `extended20` | 20 languages on the compact configuration | §5.2 scalability |
 //!
-//! Criterion benches (`cargo bench -p lc-bench`) measure the software hot
-//! paths: extraction, Bloom programming/testing, end-to-end classification,
-//! and the baselines.
+//! Software throughput is measured by the repository benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`), not here.
 //!
 //! Environment knobs (all binaries): `LC_BENCH_DOCS` overrides documents per
 //! language, `LC_BENCH_DOC_BYTES` the mean document size — use to scale
@@ -29,73 +30,8 @@
 
 use lc_bloom::BloomParams;
 use lc_core::{ClassifierBuilder, EvalSummary, MultiLanguageClassifier};
-use lc_corpus::{Corpus, CorpusConfig, Language};
-use lc_ngram::{NGram, NGramExtractor, NGramProfile, NGramSpec};
-
-/// The naive-vs-banked classify comparison workload: the paper's 8-language
-/// × (k = 4, m = 16 Kbit) configuration with every test document's n-gram
-/// stream pre-extracted, so measured loops compare pure membership-test
-/// throughput. Shared by the criterion bench and the `bench_classify` JSON
-/// emitter so both always measure the identical workload (same languages,
-/// seed, profile size, and corpus shape).
-pub struct ClassifyFixture {
-    /// The trained classifier (8 languages, `PAPER_CONSERVATIVE` params).
-    pub classifier: MultiLanguageClassifier,
-    /// Bloom parameters used (k = 4, m = 16 Kbit).
-    pub params: BloomParams,
-    /// Profile size `t` used for training.
-    pub profile_size: usize,
-    /// Per test document: (byte length, pre-extracted n-grams).
-    pub docs: Vec<(usize, Vec<NGram>)>,
-    /// The raw document bytes, for paths that measure extraction too
-    /// (streamed two-phase vs fused classification).
-    pub texts: Vec<Vec<u8>>,
-}
-
-impl ClassifyFixture {
-    /// Build the paper-configuration fixture. Honors `LC_BENCH_DOCS` /
-    /// `LC_BENCH_DOC_BYTES` like the experiment binaries.
-    pub fn paper_8lang() -> Self {
-        let params = BloomParams::PAPER_CONSERVATIVE;
-        let profile_size = 5000;
-        let corpus = Corpus::generate_for(
-            &Language::ALL[..8],
-            CorpusConfig {
-                docs_per_language: docs_per_language(12),
-                mean_doc_bytes: mean_doc_bytes(10 * 1024),
-                ..CorpusConfig::default()
-            },
-        );
-        let classifier = builder_for(&corpus, profile_size).build_bloom(params, 7);
-        let extractor = NGramExtractor::new(classifier.spec());
-        let texts: Vec<Vec<u8>> = corpus.split().test_all().map(|d| d.text.clone()).collect();
-        let docs = texts
-            .iter()
-            .map(|text| {
-                let mut grams = Vec::new();
-                extractor.extract_into(text, &mut grams);
-                (text.len(), grams)
-            })
-            .collect();
-        Self {
-            classifier,
-            params,
-            profile_size,
-            docs,
-            texts,
-        }
-    }
-
-    /// Total payload bytes across the fixture's documents.
-    pub fn total_bytes(&self) -> usize {
-        self.docs.iter().map(|(len, _)| len).sum()
-    }
-
-    /// Total n-grams across the fixture's documents.
-    pub fn total_ngrams(&self) -> usize {
-        self.docs.iter().map(|(_, g)| g.len()).sum()
-    }
-}
+use lc_corpus::{Corpus, CorpusConfig};
+use lc_ngram::{NGramProfile, NGramSpec};
 
 /// Documents per language for experiment binaries (override with
 /// `LC_BENCH_DOCS`).
@@ -188,11 +124,6 @@ pub fn run_accuracy_config(
 /// Pretty separator line for experiment output.
 pub fn rule(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Language label list in paper order.
-pub fn language_labels() -> Vec<&'static str> {
-    Language::ALL.iter().map(|l| l.name()).collect()
 }
 
 #[cfg(test)]

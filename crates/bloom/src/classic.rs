@@ -5,8 +5,8 @@
 //! `m`-bit vector. Functionally the false-positive behaviour is nearly
 //! identical for the same total memory; the difference that matters in the
 //! paper is *hardware*: a single vector needs `k` read ports per tested
-//! n-gram, which embedded RAMs do not have. We keep the classic filter so
-//! benches can show the equivalence in quality (and tests can cross-check).
+//! n-gram, which embedded RAMs do not have. We keep the classic filter as
+//! that comparison point (its tests cross-check the quality claim).
 
 use crate::params::BloomParams;
 use crate::BitVector;

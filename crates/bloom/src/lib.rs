@@ -36,7 +36,6 @@ pub mod analysis;
 mod bank;
 mod bitvec;
 mod classic;
-mod counting;
 mod parallel;
 mod params;
 mod simd;
@@ -44,7 +43,6 @@ mod simd;
 pub use bank::{FilterBank, KeyBlockSink, KeySource, KEY_BLOCK_LANES};
 pub use bitvec::BitVector;
 pub use classic::ClassicBloomFilter;
-pub use counting::{CountingBloomFilter, COUNTER_BITS, COUNTER_MAX};
 pub use lc_hash::SimdLevel;
 pub use parallel::ParallelBloomFilter;
 pub use params::{BloomParams, M4K_BITS};

@@ -1,26 +1,23 @@
 //! The AVX2 probe engine: 8 keys hash→gather→AND-reduce→count per
-//! iteration, plus 256-bit AND-reduction for multi-word (`p > 64`) masks.
+//! iteration.
 //!
 //! # Shape
 //!
 //! [`Avx2Probe`] is the vector twin of the scalar loops in
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
-//! has a vector fast path:
+//! has a vector fast path: `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits. The key
+//! source delivers 8-key blocks ([`KeySource::for_each_key_block`]), the
+//! transposed H3 evaluator ([`lc_hash::simd::hash8`]) produces 8 addresses
+//! per hash function, one `vpgatherdd`/`vpgatherqq` per function pulls the
+//! 8 language masks, and the AND-reduce across `k` runs in registers. A
+//! `vptest` skips the count stage for all-miss blocks. Counting drains
+//! through the same SPREAD8 packed byte counters as the scalar path.
 //!
-//! * `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits — the blocked pipeline: the key
-//!   source delivers 8-key blocks ([`KeySource::for_each_key_block`]), the
-//!   transposed H3 evaluator ([`lc_hash::simd::hash8`]) produces 8 addresses
-//!   per hash function, one `vpgatherdd`/`vpgatherqq` per function pulls the
-//!   8 language masks, and the AND-reduce across `k` runs in registers. A
-//!   `vptest` skips the count stage for all-miss blocks. Counting drains
-//!   through the same SPREAD8 packed byte counters as the scalar path.
-//! * `p > 64` (multi-word masks, any `k`) — hashing stays scalar, but each
-//!   key's `ceil(p/64)` mask words AND-reduce in 256-bit lanes over rows
-//!   padded to a multiple of 4 words, with a `vptest` early-out per lane.
-//!
-//! Anything else (k > 8, keys wider than 32 bits) keeps the scalar loops,
-//! and [`crate::FilterBank::simd_level`] honestly reports `scalar`.
+//! Anything else (`p > 64` multi-word masks, k > 8, keys wider than 32
+//! bits) keeps the scalar loops, and [`crate::FilterBank::simd_level`]
+//! honestly reports `scalar`. A 256-bit AND-reduce over the multi-word
+//! masks was tried and did not beat the scalar multi-word loop.
 //!
 //! The engine owns padded copies of the probe slices (u8 rows +3 bytes,
 //! u16 rows +2 entries) so the dword gathers at the last addresses stay in
@@ -70,63 +67,6 @@ mod x86 {
     /// guarantees no lane ever wraps.
     const FLUSH_AT: u32 = 248;
 
-    /// The per-classifier AVX2 probe engine. See the [module docs](super).
-    #[derive(Clone, Debug)]
-    pub(crate) enum Avx2Probe {
-        /// `p ≤ 64`, `k ≤ 8`, ≤ 32-bit keys: the blocked 8-lane pipeline.
-        Block(BlockProbe),
-        /// `p > 64`: scalar hash, 256-bit AND-reduce over padded mask rows.
-        Multi(MultiProbe),
-    }
-
-    impl Avx2Probe {
-        /// Build the engine for `bank`'s shape, or `None` when the CPU has
-        /// no AVX2 or the shape has no vector fast path.
-        pub(crate) fn build(bank: &crate::FilterBank) -> Option<Self> {
-            if !SimdLevel::cpu_has_avx2() {
-                return None;
-            }
-            let family = bank.hashes().clone();
-            let tables = family.transposed_tables();
-            let eligible = tables.avx2_eligible();
-            match bank.mask_slices() {
-                MaskSlices::W8(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W8(s.iter().map(|s| pad_bytes(s, 3)).collect()),
-                })),
-                MaskSlices::W16(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W16(s.iter().map(|s| pad_words(s, 1)).collect()),
-                })),
-                MaskSlices::W32(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W32(s.iter().map(|s| s.to_vec()).collect()),
-                })),
-                MaskSlices::W64(s) if bank.words_per_mask() == 1 && eligible => {
-                    Some(Self::Block(BlockProbe {
-                        family,
-                        tables,
-                        width: PaddedSlices::W64(s.iter().map(|s| s.to_vec()).collect()),
-                    }))
-                }
-                MaskSlices::W64(s) if bank.words_per_mask() > 1 => Some(Self::Multi(
-                    MultiProbe::build(family, bank.words_per_mask(), s),
-                )),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            match self {
-                Avx2Probe::Block(b) => b.accumulate(src, counts),
-                Avx2Probe::Multi(m) => m.accumulate(src, counts),
-            }
-        }
-    }
-
     /// Copy a byte slice with `pad` trailing zero bytes so a 4-byte gather
     /// at the last valid address stays in bounds.
     fn pad_bytes(s: &[u8], pad: usize) -> Vec<u8> {
@@ -154,16 +94,43 @@ mod x86 {
         W64(Vec<Vec<u64>>),
     }
 
-    /// The blocked 8-lane pipeline (`p ≤ 64`).
+    /// The per-classifier AVX2 probe engine (`p ≤ 64`, `k ≤ 8`, ≤ 32-bit
+    /// keys): the blocked 8-lane pipeline. See the [module docs](super).
     #[derive(Clone, Debug)]
-    pub(crate) struct BlockProbe {
+    pub(crate) struct Avx2Probe {
         family: H3Family,
         tables: TransposedTables,
         width: PaddedSlices,
     }
 
-    impl BlockProbe {
-        fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
+    impl Avx2Probe {
+        /// Build the engine for `bank`'s shape, or `None` when the CPU has
+        /// no AVX2 or the shape has no vector fast path.
+        pub(crate) fn build(bank: &crate::FilterBank) -> Option<Self> {
+            if !SimdLevel::cpu_has_avx2() || bank.words_per_mask() > 1 {
+                return None;
+            }
+            let family = bank.hashes().clone();
+            let tables = family.transposed_tables();
+            if !tables.avx2_eligible() {
+                return None;
+            }
+            let width = match bank.mask_slices() {
+                MaskSlices::W8(s) => PaddedSlices::W8(s.iter().map(|s| pad_bytes(s, 3)).collect()),
+                MaskSlices::W16(s) => {
+                    PaddedSlices::W16(s.iter().map(|s| pad_words(s, 1)).collect())
+                }
+                MaskSlices::W32(s) => PaddedSlices::W32(s.iter().map(|s| s.to_vec()).collect()),
+                MaskSlices::W64(s) => PaddedSlices::W64(s.iter().map(|s| s.to_vec()).collect()),
+            };
+            Some(Self {
+                family,
+                tables,
+                width,
+            })
+        }
+
+        pub(crate) fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
             match self.tables.k() {
                 1 => self.run::<1, S>(src, counts),
                 2 => self.run::<2, S>(src, counts),
@@ -525,75 +492,6 @@ mod x86 {
                 mask &= s[a as usize];
             }
             FilterBank::scatter_add(mask, 0, self.counts);
-        }
-    }
-
-    /// `p > 64`: scalar fused hashing, 256-bit AND-reduce over mask rows
-    /// padded to a multiple of 4 u64 words.
-    #[derive(Clone, Debug)]
-    pub(crate) struct MultiProbe {
-        family: H3Family,
-        wpm_pad: usize,
-        /// One padded row per hash function: entry `a` occupies words
-        /// `a·wpm_pad .. a·wpm_pad + wpm`, the rest are zero.
-        rows: Vec<Vec<u64>>,
-    }
-
-    impl MultiProbe {
-        fn build(family: H3Family, wpm: usize, slices: &[Box<[u64]>]) -> Self {
-            let wpm_pad = wpm.div_ceil(4) * 4;
-            let entries = slices[0].len() / wpm;
-            let rows = slices
-                .iter()
-                .map(|s| {
-                    let mut padded = vec![0u64; entries * wpm_pad];
-                    for a in 0..entries {
-                        padded[a * wpm_pad..a * wpm_pad + wpm]
-                            .copy_from_slice(&s[a * wpm..(a + 1) * wpm]);
-                    }
-                    padded
-                })
-                .collect();
-            Self {
-                family,
-                wpm_pad,
-                rows,
-            }
-        }
-
-        fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            let mut addrs = vec![0u32; self.rows.len()];
-            let eval = self.family.fused_evaluator();
-            src.for_each_key(|key| {
-                eval.hash_all_into(key, &mut addrs);
-                // safety: the engine is only built after the AVX2 cpuid
-                // check; the feature cannot disappear at runtime.
-                unsafe { self.and_reduce_scatter(&addrs, counts) };
-            });
-        }
-
-        #[target_feature(enable = "avx2")]
-        fn and_reduce_scatter(&self, addrs: &[u32], counts: &mut [u64]) {
-            for chunk in 0..self.wpm_pad / 4 {
-                let off = |a: u32| a as usize * self.wpm_pad + chunk * 4;
-                let p0 = self.rows[0].as_ptr();
-                // safety: addr < m (H3 output width), every row holds
-                // m·wpm_pad words, and chunk·4 + 4 ≤ wpm_pad, so each
-                // 32-byte load stays inside its row.
-                let mut acc = unsafe { _mm256_loadu_si256(p0.add(off(addrs[0])).cast()) };
-                for (row, &a) in self.rows.iter().zip(addrs).skip(1) {
-                    // safety: same bounds argument as the first load.
-                    let v = unsafe { _mm256_loadu_si256(row.as_ptr().add(off(a)).cast()) };
-                    acc = _mm256_and_si256(acc, v);
-                }
-                if _mm256_testz_si256(acc, acc) == 0 {
-                    for (w, word) in lanes_u64(acc).into_iter().enumerate() {
-                        // Pad words are zero, so only real words (< wpm)
-                        // ever scatter.
-                        FilterBank::scatter_add(word, (chunk * 4 + w) * 64, counts);
-                    }
-                }
-            }
         }
     }
 }

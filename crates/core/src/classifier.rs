@@ -198,8 +198,8 @@ impl MultiLanguageClassifier {
 
     /// Reference implementation of [`Self::classify_ngrams`] over the
     /// per-language filters (`p × k` scattered bit-reads per n-gram). Kept
-    /// for equivalence property tests and as the benchmark baseline; the
-    /// banked path must produce identical results for any input.
+    /// for equivalence property tests; the banked path must produce
+    /// identical results for any input.
     pub fn classify_ngrams_naive(&self, grams: &[NGram]) -> ClassificationResult {
         let mut counts = vec![0u64; self.filters.len()];
         let mut addrs = vec![0u32; self.params.k];

@@ -123,9 +123,8 @@ impl StreamingSession {
     /// The pre-fusion reference feed: extract the chunk into `scratch`,
     /// then probe the pre-extracted stream — the two loops the fused
     /// [`Self::feed`] replaced. Bit-identical results (property-tested);
-    /// kept so benchmarks and the service's `two_phase_reference` mode can
-    /// A/B the fusion on live traffic, and as the readable spelling of
-    /// what the fused loop computes.
+    /// kept as the reference the fused loop is tested against, and as the
+    /// readable spelling of what the fused loop computes.
     pub fn feed_two_phase(&mut self, classifier: &MultiLanguageClassifier, chunk: &[u8]) {
         debug_assert_eq!(self.counts.len(), classifier.num_languages());
         debug_assert_eq!(self.extractor.spec(), classifier.spec());

@@ -89,6 +89,7 @@ const O_NONBLOCK: c_int = 0o4000;
 // setsockopt.
 const SOL_SOCKET: c_int = 1;
 const SO_SNDBUF: c_int = 7;
+const SO_RCVBUF: c_int = 8;
 
 // rlimit.
 const RLIMIT_NOFILE: c_int = 7;
@@ -137,13 +138,29 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 /// benches can make a peer's send window small enough to exercise
 /// partial-write and slow-consumer paths quickly.
 pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    set_buffer_opt(fd, SO_SNDBUF, bytes)
+}
+
+/// Set `SO_RCVBUF` on a socket fd.
+///
+/// Setting it also switches off the kernel's receive-buffer autotuning
+/// for the socket (the kernel doubles the value, as for `SO_SNDBUF`), so
+/// the buffer of a peer that reads nothing cannot grow toward the host's
+/// `tcp_rmem` maximum. Tests use it to keep a silent client's backlog
+/// small and host-independent.
+pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    set_buffer_opt(fd, SO_RCVBUF, bytes)
+}
+
+/// `setsockopt(SOL_SOCKET, opt)` with an `int` byte count.
+fn set_buffer_opt(fd: RawFd, opt: c_int, bytes: usize) -> io::Result<()> {
     let val = bytes.min(c_int::MAX as usize) as c_int;
     // SAFETY: optval points at a live c_int and optlen matches its size.
     cvt(unsafe {
         ffi::setsockopt(
             fd,
             SOL_SOCKET,
-            SO_SNDBUF,
+            opt,
             (&val as *const c_int).cast::<c_void>(),
             std::mem::size_of::<c_int>() as u32,
         )
@@ -228,6 +245,13 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         set_send_buffer(stream.as_raw_fd(), 4096).unwrap();
+    }
+
+    #[test]
+    fn recv_buffer_can_be_shrunk() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        set_recv_buffer(stream.as_raw_fd(), 4096).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! of documents in flight on the one connection (the protocol consumes
 //! the latch in order, so responses pair with documents positionally),
 //! which measures engine capacity rather than round-trip latency and is
-//! what the high-concurrency tests and benches drive.
+//! what the high-concurrency tests and the benchmark drive.
 //!
 //! [`ClassifyClient::classify_many_mux`] goes further: it **multiplexes**
 //! the pipeline over wire-v2 channels ([`ClassifyClient::open_channel`]),

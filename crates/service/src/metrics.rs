@@ -14,8 +14,7 @@
 //!
 //! The whole struct is relaxed atomics: recording never takes a lock and
 //! never fences, which is what keeps the instrumentation cheap enough to
-//! leave on (the bench's `observability_overhead` round holds it under a
-//! few percent).
+//! leave on.
 
 use crate::ring::RingEvent;
 use crate::sync::{AtomicU64, Ordering};
@@ -161,7 +160,7 @@ pub struct ServiceMetrics {
     pub data_frames: AtomicU64,
     /// Data payloads *copied* between reactor and worker. The zero-copy
     /// frame path keeps this at exactly 0 (payloads travel as refcounted
-    /// rope segments); the bench asserts it.
+    /// rope segments); `tests/service_e2e.rs` asserts it.
     pub payload_copies: AtomicU64,
     /// Documents classified (results latched).
     pub documents: AtomicU64,

@@ -1030,7 +1030,7 @@ impl Reactor {
         }
         // Fold the rope's copy accounting into the shared metrics: data
         // frames decoded, and payloads copied (structurally zero on this
-        // path — the bench asserts it stays that way).
+        // path — the e2e tests assert it stays that way).
         let frames = c.acc.data_frames();
         metrics
             .data_frames

@@ -61,12 +61,6 @@ pub struct ServiceConfig {
     /// values make slow-consumer behaviour observable quickly (tests,
     /// benches).
     pub send_buffer: usize,
-    /// A/B benchmarking knob: run sessions on the pre-fusion **two-phase**
-    /// classify path (extract each chunk into a `Vec<NGram>`, then probe)
-    /// instead of the fused extraction→probe loop. Bit-identical results;
-    /// `bench_service` measures both modes with one harness so the fusion
-    /// win on live traffic stays visible in `BENCH_service.json`.
-    pub two_phase_reference: bool,
     /// Deterministic fault injection ([`ChaosConfig`]); `None` (or a
     /// config with every rate at zero) serves clean. Same seed + same
     /// client schedule ⇒ same fault schedule.
@@ -102,7 +96,6 @@ impl Default for ServiceConfig {
             outbound_high_water: 1 << 20,
             slow_consumer_deadline: Duration::from_secs(10),
             send_buffer: 0,
-            two_phase_reference: false,
             chaos: None,
             trace_ring: false,
             trace_sample: 0,
@@ -275,7 +268,6 @@ pub fn serve(
         config.effective_workers(),
         config.queue_depth,
         config.watchdog,
-        config.two_phase_reference,
         plan.clone(),
         spans.clone(),
     )?;

@@ -150,7 +150,6 @@ struct PoolRuntime {
     metrics: Arc<ServiceMetrics>,
     watchdog: Duration,
     tick: Duration,
-    two_phase_reference: bool,
     chaos: Option<Arc<FaultPlan>>,
     trace: Option<Arc<SpanSet>>,
 }
@@ -159,12 +158,7 @@ impl PoolRuntime {
     /// A fresh session pinned (for metrics attribution) to `shard`, with
     /// the span plane and channel identity attached when tracing is on.
     fn fresh_session(&self, shard: usize, key: ChannelKey) -> Session {
-        let mut s = Session::with_mode(
-            &self.classifier,
-            self.watchdog,
-            Instant::now(),
-            self.two_phase_reference,
-        );
+        let mut s = Session::new(&self.classifier, self.watchdog, Instant::now());
         s.set_shard(shard);
         if let Some(set) = &self.trace {
             s.set_trace(Arc::clone(set), key.conn, key.channel);
@@ -418,14 +412,12 @@ impl WorkerPool {
     /// that respawns any shard whose thread dies by panic. Thread-spawn
     /// failure (resource exhaustion) is a startup error, not a panic: the
     /// threads already started are shut down cleanly before returning it.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         classifier: Arc<MultiLanguageClassifier>,
         metrics: Arc<ServiceMetrics>,
         workers: usize,
         queue_depth: usize,
         watchdog: Duration,
-        two_phase_reference: bool,
         chaos: Option<Arc<FaultPlan>>,
         trace: Option<Arc<SpanSet>>,
     ) -> std::io::Result<Self> {
@@ -438,7 +430,6 @@ impl WorkerPool {
             metrics,
             watchdog,
             tick,
-            two_phase_reference,
             chaos,
             trace,
         });

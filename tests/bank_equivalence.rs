@@ -4,7 +4,7 @@
 //! chunking, and language counts spanning every mask storage width and the
 //! multi-word boundary (p ∈ {1, 8, 12, 20, 32, 64, 100}).
 //!
-//! On hosts with AVX2 the bank builds its vector probe engine, so every
+//! On hosts with AVX2 the bank builds its vector probe engine for p ≤ 64, so every
 //! property here also pins avx2 == naive; the `forced_scalar_*` properties
 //! compare the two dispatch paths against each other explicitly, and CI
 //! runs the whole suite a second time under `LC_FORCE_SCALAR=1`.
@@ -277,5 +277,44 @@ fn bank_shape_reflects_language_count() {
         let c = classifier_for(p);
         assert_eq!(c.bank().languages(), p);
         assert_eq!(c.bank().words_per_mask(), wpm);
+    }
+}
+
+/// Dispatch really selects the vector engine wherever it has one: with AVX2
+/// detected (and `LC_FORCE_SCALAR` unset), every `p ≤ 64`, `k ≤ 8` bank
+/// reports `Avx2`, while multi-word (`p > 64`) and `k > 8` banks report
+/// `Scalar`. Under `LC_FORCE_SCALAR=1` every bank reports `Scalar`. A
+/// regression that silently drops the vector path fails here rather than
+/// only showing up as a slower benchmark.
+#[test]
+fn dispatch_selects_the_vector_path_where_one_exists() {
+    use lcbloom::bloom::{FilterBank, ParallelBloomFilter, SimdLevel};
+
+    let vector = SimdLevel::detect() == SimdLevel::Avx2;
+    if SimdLevel::force_scalar_requested() {
+        assert!(!vector, "LC_FORCE_SCALAR must pin scalar dispatch");
+    }
+    for k in 1..=9 {
+        let params = BloomParams::from_kbits(1, k);
+        for p in [1usize, 8, 12, 20, 32, 33, 64, 65, 100] {
+            let filters: Vec<ParallelBloomFilter> = (0..p)
+                .map(|_| ParallelBloomFilter::new(params, NGramSpec::PAPER.bits(), 99))
+                .collect();
+            let expected = if vector && p <= 64 && k <= 8 {
+                SimdLevel::Avx2
+            } else {
+                SimdLevel::Scalar
+            };
+            let bank = FilterBank::from_filters(&filters);
+            assert_eq!(bank.simd_level(), expected, "p={p} k={k}");
+        }
+    }
+    for p in [1usize, 8, 12, 20, 32, 64, 100] {
+        let expected = if vector && p <= 64 {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Scalar
+        };
+        assert_eq!(classifier_for(p).simd_level(), expected, "classifier p={p}");
     }
 }

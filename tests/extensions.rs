@@ -1,5 +1,5 @@
 //! Integration tests for the paper's extension paths: Unicode (§3.3),
-//! M512 capacity (§5.2), counter saturation, streaming classification,
+//! M512 capacity (§5.2), streaming classification,
 //! profile persistence, and the JRC XML preprocessing flow.
 
 use lcbloom::core::unicode::{build_wide_profile, WideClassifier};
@@ -143,30 +143,4 @@ fn m512_extension_adds_languages_beyond_thirty() {
                 .expect("allocation within computed capacity");
         }
     }
-}
-
-#[test]
-fn counting_filter_supports_incremental_reprogramming() {
-    use lcbloom::bloom::CountingBloomFilter;
-    let corpus = Corpus::generate(CorpusConfig::test_scale());
-    let profiles = lcbloom::train_profiles(&corpus, 1000);
-
-    // Maintain the French filter with counters; retrain it with English
-    // material by removing old entries and inserting new ones.
-    let mut f = CountingBloomFilter::new(BloomParams::PAPER_CONSERVATIVE, 20, 7);
-    let fr: Vec<u64> = profiles[8].1.ngrams().map(|g| g.value()).collect();
-    let en: Vec<u64> = profiles[9].1.ngrams().map(|g| g.value()).collect();
-    for &g in &fr {
-        f.insert(g);
-    }
-    for &g in &fr {
-        f.remove(g);
-    }
-    for &g in &en {
-        f.insert(g);
-    }
-    for &g in &en {
-        assert!(f.test(g));
-    }
-    assert_eq!(f.saturated(), 0);
 }

@@ -9,6 +9,7 @@ use lcbloom::service::{serve, ClientError, ServiceConfig};
 use lcbloom::wire::{pack_words, read_frame, write_frame, ErrorCode, WireCommand, WireResponse};
 use std::io::Write;
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -204,6 +205,17 @@ fn raw_conn(addr: std::net::SocketAddr) -> TcpStream {
         WireResponse::decode(kind, &payload).unwrap(),
         WireResponse::Hello { .. }
     ));
+    stream
+}
+
+/// [`raw_conn`] with its receive buffer pinned small, for peers that stop
+/// reading. Left to autotune, a silent peer's buffer can grow to the
+/// host's `tcp_rmem` maximum and absorb every response, so the server keeps
+/// seeing write progress; pinned, it backs the server up after a small
+/// backlog on any host.
+fn silent_conn(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = raw_conn(addr);
+    lc_reactor::set_recv_buffer(stream.as_raw_fd(), 4096).expect("SO_RCVBUF");
     stream
 }
 
@@ -578,7 +590,7 @@ fn slow_consumer_is_reset_not_left_stalling() {
     .expect("bind localhost");
     let addr = server.addr();
 
-    let slow = raw_conn(addr);
+    let slow = silent_conn(addr);
     // Nonblocking writes: once the server masks the slow peer's EPOLLIN,
     // nothing drains the socket and a blocking write would deadlock the
     // test itself.
@@ -643,7 +655,7 @@ fn slow_consumer_partial_drain_then_silence_is_still_reset() {
     .expect("bind localhost");
     let addr = server.addr();
 
-    let slow = raw_conn(addr);
+    let slow = silent_conn(addr);
     slow.set_nonblocking(true).unwrap();
     let mut slow = slow;
     let burst = doc_burst(b"drain a little then freeze", 6000);
