@@ -31,7 +31,10 @@
 //! 1. compute the `k` addresses once (fused H3 evaluation),
 //! 2. load `k` masks — one contiguous load per hash function,
 //! 3. AND-reduce them (languages whose every per-hash bit was set survive),
-//! 4. scatter-add the surviving mask bits into per-language counters
+//! 4. count the surviving languages. For `p ≤ 32` each mask byte indexes
+//!    [`SPREAD8`], and one 64-bit add bumps eight packed byte counters at
+//!    once, branch-free; the packed bytes drain into the `u64` counters
+//!    before any can wrap. Wider masks scatter-add their set bits
 //!    (`trailing_zeros` loop, one increment per matching language).
 //!
 //! That is `k` loads + one AND per n-gram instead of `p·k` loads — the same
@@ -44,13 +47,17 @@
 //!   input).
 //! * Addresses produced by the shared hash family are `< m` by construction
 //!   (H3 output width equals the vector address width), so the hot path
-//!   performs no per-language assertions; this is checked once at
-//!   construction and with `debug_assert!` in debug builds.
+//!   performs no per-language assertions.
+//! * Every row holds `m · words_per_mask` entries plus
+//!   [`MaskWord::GATHER_PAD`] zero entries, so a 4-byte AVX2 gather at the
+//!   last address stays inside the row.
 
 use crate::params::BloomParams;
 use crate::simd::Avx2Probe;
 use crate::ParallelBloomFilter;
-use lc_hash::{H3Family, SimdLevel};
+use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel};
+use std::marker::PhantomData;
+use std::ops::BitAnd;
 
 /// Keys per block in [`KeySource::for_each_key_block`] — one AVX2 register
 /// of 32-bit keys. Matches `lc_ngram::BLOCK_LANES` (the extractor's block
@@ -120,33 +127,31 @@ impl<I: IntoIterator<Item = u64>> KeySource for I {
 
 /// A mask storage element: the bit-sliced arrays hold language masks at the
 /// narrowest width that fits `p`.
-trait MaskWord: Copy {
+pub(crate) trait MaskWord: Copy + PartialEq + BitAnd<Output = Self> {
     /// Bits per element.
     const BITS: usize;
     /// All-zero element.
     const ZERO: Self;
+    /// Zero entries after each row's last address: an AVX2 gather reads
+    /// 4 bytes at an entry's offset, so `u8` rows need 3 more bytes and
+    /// `u16` rows 1 more entry; wider entries are read at exact width.
+    const GATHER_PAD: usize;
     /// Set bit `j` (`j < BITS`).
     fn set_bit(&mut self, j: usize);
-    /// Bitwise AND.
-    fn and(self, other: Self) -> Self;
-    /// Widen to u64 for the scatter-add loop.
+    /// Widen to u64 for counting.
     fn to_u64(self) -> u64;
 }
 
 macro_rules! impl_mask_word {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $pad:expr),*) => {$(
         impl MaskWord for $t {
             const BITS: usize = <$t>::BITS as usize;
             const ZERO: Self = 0;
+            const GATHER_PAD: usize = $pad;
 
             #[inline]
             fn set_bit(&mut self, j: usize) {
                 *self |= 1 << j;
-            }
-
-            #[inline]
-            fn and(self, other: Self) -> Self {
-                self & other
             }
 
             #[inline]
@@ -156,14 +161,12 @@ macro_rules! impl_mask_word {
         }
     )*};
 }
-impl_mask_word!(u8, u16, u32, u64);
+impl_mask_word!(u8 => 3, u16 => 1, u32 => 0, u64 => 0);
 
 /// `SPREAD8[m]` has byte `j` equal to bit `j` of `m`: one table load turns
-/// an 8-language match mask into eight 0/1 byte increments, so the hot
-/// loop's count update is a single 64-bit add — no per-set-bit branch loop.
-/// The `p ≤ 16` bank applies the same table to each mask byte (SPREAD16):
-/// two lookups, two adds, sixteen branchless lanes across a packed pair.
-pub(crate) static SPREAD8: [u64; 256] = {
+/// eight languages' match bits into eight 0/1 byte increments, so a count
+/// update is a single 64-bit add — no per-set-bit branch loop.
+static SPREAD8: [u64; 256] = {
     let mut t = [0u64; 256];
     let mut m = 0usize;
     while m < 256 {
@@ -181,18 +184,137 @@ pub(crate) static SPREAD8: [u64; 256] = {
     t
 };
 
+/// Drain the packed byte counters after this many counted keys. Each byte
+/// lane grows by at most 1 per key and a vector block adds 8 keys at once,
+/// so draining at 248 (255 rounded down to a block multiple) means no lane
+/// ever wraps.
+const FLUSH_AT: u32 = 248;
+
+/// The per-language match counter every probe loop feeds, for masks of
+/// width `W`. Up to `u32`, language `8w + j` counts in byte `j` of
+/// `packed[w]` (one [`SPREAD8`] add per mask byte), drained into `counts`
+/// every [`FLUSH_AT`] keys; `u64` masks scatter-add straight into `counts`.
+/// Call [`Self::finish`] to drain what is left.
+pub(crate) struct Tally<'a, W> {
+    counts: &'a mut [u64],
+    packed: [u64; 4],
+    pending: u32,
+    width: PhantomData<W>,
+}
+
+impl<'a, W: MaskWord> Tally<'a, W> {
+    const PACKED: bool = W::BITS <= 32;
+
+    pub(crate) fn new(counts: &'a mut [u64]) -> Self {
+        Self {
+            counts,
+            packed: [0; 4],
+            pending: 0,
+            width: PhantomData,
+        }
+    }
+
+    /// Count word `w` of one key's match mask (bit `b` is language
+    /// `64w + b`); packed widths only have word 0. Call [`Self::tick`]
+    /// once the key's words are counted.
+    #[inline]
+    pub(crate) fn count(&mut self, w: usize, mask: u64) {
+        if Self::PACKED {
+            for (b, lane) in self.packed[..W::BITS / 8].iter_mut().enumerate() {
+                *lane = lane.wrapping_add(SPREAD8[(mask >> (8 * b) & 0xFF) as usize]);
+            }
+        } else {
+            let mut mask = mask;
+            while mask != 0 {
+                self.counts[64 * w + mask.trailing_zeros() as usize] += 1;
+                mask &= mask - 1;
+            }
+        }
+    }
+
+    /// Record that `keys` more keys were counted, draining the packed
+    /// counters once they could next wrap.
+    #[inline]
+    pub(crate) fn tick(&mut self, keys: u32) {
+        if Self::PACKED {
+            self.pending += keys;
+            if self.pending >= FLUSH_AT {
+                self.flush();
+            }
+        }
+    }
+
+    /// Count one key's single-word match mask.
+    #[inline]
+    pub(crate) fn add(&mut self, mask: W) {
+        self.count(0, mask.to_u64());
+        self.tick(1);
+    }
+
+    fn flush(&mut self) {
+        for (j, c) in self.counts.iter_mut().enumerate() {
+            *c += (self.packed[j / 8] >> (8 * (j % 8))) & 0xFF;
+        }
+        self.packed = [0; 4];
+        self.pending = 0;
+    }
+
+    /// Drain the packed counters into `counts`.
+    pub(crate) fn finish(mut self) {
+        if Self::PACKED {
+            self.flush();
+        }
+    }
+}
+
+/// Hash `key` and AND-reduce its `K` single-word masks: the one probe step
+/// of the scalar loop and of the AVX2 path's leftover keys.
+#[inline]
+pub(crate) fn probe<const K: usize, W: MaskWord>(
+    eval: &FusedEvaluatorK<'_, K>,
+    rows: &[&[W]; K],
+    key: u64,
+) -> W {
+    let addrs = eval.hash_all_array(key);
+    let mut mask = rows[0][addrs[0] as usize];
+    for i in 1..K {
+        mask = mask & rows[i][addrs[i] as usize];
+    }
+    mask
+}
+
+/// AND-reduce the `k` per-hash masks at `addrs` into `mask` (one element
+/// per mask word); returns whether any language survived.
+#[inline]
+fn and_reduce<W: MaskWord>(slices: &[Box<[W]>], addrs: &[u32], mask: &mut [W]) -> bool {
+    let wpm = mask.len();
+    let base = addrs[0] as usize * wpm;
+    mask.copy_from_slice(&slices[0][base..base + wpm]);
+    let mut alive = mask.iter().any(|&w| w != W::ZERO);
+    for (i, &addr) in addrs.iter().enumerate().skip(1) {
+        if !alive {
+            break;
+        }
+        let base = addr as usize * wpm;
+        alive = false;
+        for (m, &s) in mask.iter_mut().zip(&slices[i][base..base + wpm]) {
+            *m = *m & s;
+            alive |= *m != W::ZERO;
+        }
+    }
+    alive
+}
+
 /// Width-specialized bit-sliced arrays (one per hash function).
 #[derive(Clone, Debug)]
-pub(crate) enum MaskSlices {
+enum MaskSlices {
     /// `p <= 8`: one byte per (hash, address) entry.
     W8(Vec<Box<[u8]>>),
     /// `p <= 16`.
     W16(Vec<Box<[u16]>>),
     /// `p <= 32`.
     W32(Vec<Box<[u32]>>),
-    /// `p <= 64`, or `p > 64` with `ceil(p/64)` words per mask. Also used
-    /// for `k > 8` (beyond the const-generic dispatch table; the paper's
-    /// largest k is 6).
+    /// `p <= 64`, or `p > 64` with `ceil(p/64)` words per mask.
     W64(Vec<Box<[u64]>>),
 }
 
@@ -237,13 +359,11 @@ impl FilterBank {
         }
         let p = filters.len();
         let words_per_mask = p.div_ceil(64);
-        // Narrow widths only where the const-K dispatch covers them; the
-        // runtime-k and multi-word paths stay on u64.
-        let slices = if p <= 8 && params.k <= 8 {
+        let slices = if p <= 8 {
             MaskSlices::W8(Self::build_slices::<u8>(filters, params, 1))
-        } else if p <= 16 && params.k <= 8 {
+        } else if p <= 16 {
             MaskSlices::W16(Self::build_slices::<u16>(filters, params, 1))
-        } else if p <= 32 && params.k <= 8 {
+        } else if p <= 32 {
             MaskSlices::W32(Self::build_slices::<u32>(filters, params, 1))
         } else {
             MaskSlices::W64(Self::build_slices::<u64>(filters, params, words_per_mask))
@@ -261,7 +381,8 @@ impl FilterBank {
     }
 
     /// Build the `k` bit-sliced arrays at element width `W` (`wpm` elements
-    /// per address; > 1 only for the u64 multi-word case).
+    /// per address; > 1 only for the u64 multi-word case), each followed by
+    /// `W::GATHER_PAD` zero entries.
     fn build_slices<W: MaskWord>(
         filters: &[ParallelBloomFilter],
         params: BloomParams,
@@ -270,7 +391,7 @@ impl FilterBank {
         let m = params.m_bits();
         let mut slices = Vec::with_capacity(params.k);
         for i in 0..params.k {
-            let mut slice = vec![W::ZERO; m * wpm].into_boxed_slice();
+            let mut slice = vec![W::ZERO; m * wpm + W::GATHER_PAD].into_boxed_slice();
             for (j, f) in filters.iter().enumerate() {
                 let (word_idx, bit) = (j / W::BITS, j % W::BITS);
                 // Walk the language's set bits word-by-word instead of
@@ -321,11 +442,6 @@ impl FilterBank {
         &self.hashes
     }
 
-    /// The width-specialized probe slices (the SIMD engine re-pads them).
-    pub(crate) fn mask_slices(&self) -> &MaskSlices {
-        &self.slices
-    }
-
     /// Choose the probe path. `Avx2` builds the vector engine when the CPU
     /// and the bank shape allow it (silently staying scalar otherwise);
     /// `Scalar` drops any engine. Called once at construction with the
@@ -359,32 +475,18 @@ impl FilterBank {
     /// [`Self::accumulate_keys`].
     pub fn match_mask(&self, key: u64) -> Vec<u64> {
         match &self.slices {
-            MaskSlices::W8(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W16(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W32(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W64(s) => {
-                if self.words_per_mask == 1 {
-                    vec![self.mask_one(s, key)]
-                } else {
-                    let mut addrs = vec![0u32; self.params.k];
-                    let mut mask = vec![0u64; self.words_per_mask];
-                    self.hashes.hash_all_into(key, &mut addrs);
-                    Self::and_reduce(s, self.words_per_mask, &addrs, &mut mask);
-                    mask
-                }
-            }
+            MaskSlices::W8(s) => self.match_mask_in(s, key),
+            MaskSlices::W16(s) => self.match_mask_in(s, key),
+            MaskSlices::W32(s) => self.match_mask_in(s, key),
+            MaskSlices::W64(s) => self.match_mask_in(s, key),
         }
     }
 
-    /// Single-key AND-reduce over single-element masks, widened to u64.
-    fn mask_one<W: MaskWord>(&self, slices: &[Box<[W]>], key: u64) -> u64 {
-        let mut addrs = vec![0u32; self.params.k];
-        self.hashes.hash_all_into(key, &mut addrs);
-        let mut mask = slices[0][addrs[0] as usize];
-        for (i, &a) in addrs.iter().enumerate().skip(1) {
-            mask = mask.and(slices[i][a as usize]);
-        }
-        mask.to_u64()
+    fn match_mask_in<W: MaskWord>(&self, slices: &[Box<[W]>], key: u64) -> Vec<u64> {
+        let addrs = self.hashes.hash_all(key);
+        let mut mask = vec![W::ZERO; self.words_per_mask];
+        and_reduce(slices, &addrs, &mut mask);
+        mask.into_iter().map(MaskWord::to_u64).collect()
     }
 
     /// Test one key against every language, returning matching indices.
@@ -399,48 +501,6 @@ impl FilterBank {
             }
         }
         out
-    }
-
-    /// Scatter-add one mask word's set bits into the counters: bit `b` of
-    /// `mask` increments `counts[bit_base + b]`. The single place the
-    /// count-on-match semantics live; every accumulate path inlines this.
-    #[inline]
-    pub(crate) fn scatter_add(mask: u64, bit_base: usize, counts: &mut [u64]) {
-        let mut mask = mask;
-        while mask != 0 {
-            counts[bit_base + mask.trailing_zeros() as usize] += 1;
-            mask &= mask - 1;
-        }
-    }
-
-    /// Drain a packed 8×8-bit counter word into the wide counters:
-    /// byte `j` of `packed` adds to `counts[j]`. Bytes at or above
-    /// `counts.len()` are always zero (masks only carry language bits).
-    #[inline]
-    pub(crate) fn flush_packed8(packed: u64, counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            *c += (packed >> (8 * j)) & 0xFF;
-        }
-    }
-
-    /// Drain the SPREAD16 pair (languages 0–7 in `lo`, 8–15 in `hi`) into
-    /// the wide counters.
-    #[inline]
-    pub(crate) fn flush_packed16(lo: u64, hi: u64, counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            let word = if j < 8 { lo } else { hi };
-            *c += (word >> (8 * (j % 8))) & 0xFF;
-        }
-    }
-
-    /// Drain the SPREAD32 quad (languages `8w .. 8w + 8` in `packed[w]`)
-    /// into the wide counters — the `p ≤ 32` extension of the packed
-    /// byte-counter family.
-    #[inline]
-    pub(crate) fn flush_packed32(packed: &[u64; 4], counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            *c += (packed[j / 8] >> (8 * (j % 8))) & 0xFF;
-        }
     }
 
     /// The classify hot loop: for every key, increment `counts[j]` for each
@@ -459,10 +519,10 @@ impl FilterBank {
     /// The fused probe entry: drain `src` through the bank, incrementing
     /// `counts[j]` for each key matching language `j`. Dispatches **once**
     /// per batch to a loop monomorphized over the mask width
-    /// (u8/u16/u32/u64/multi-word) and, for `k ≤ 8`, the compile-time `k` —
-    /// the source's per-key state machine (e.g. the n-gram shift register)
-    /// inlines into that loop, so extraction and probe fuse into one pass
-    /// with no intermediate key buffer.
+    /// (u8/u16/u32/u64) and, for single-word masks with `k ≤ 8`, the
+    /// compile-time `k` — the source's per-key state machine (e.g. the
+    /// n-gram shift register) inlines into that loop, so extraction and
+    /// probe fuse into one pass with no intermediate key buffer.
     ///
     /// # Panics
     ///
@@ -473,230 +533,63 @@ impl FilterBank {
             self.languages,
             "one counter per banked language"
         );
-        if let Some(engine) = &self.simd {
-            engine.accumulate(src, counts);
-            return;
-        }
         match &self.slices {
-            MaskSlices::W8(s) => self.dispatch_k_packed8(s, src, counts),
-            MaskSlices::W16(s) => self.dispatch_k_packed16(s, src, counts),
-            MaskSlices::W32(s) => self.dispatch_k_packed32(s, src, counts),
-            MaskSlices::W64(s) => {
-                if self.words_per_mask == 1 {
-                    self.dispatch_k(s, src, counts);
-                } else {
-                    self.accumulate_multiword(s, src, counts);
-                }
-            }
+            MaskSlices::W8(s) => self.accumulate_width(s, src, counts),
+            MaskSlices::W16(s) => self.accumulate_width(s, src, counts),
+            MaskSlices::W32(s) => self.accumulate_width(s, src, counts),
+            MaskSlices::W64(s) => self.accumulate_width(s, src, counts),
         }
     }
 
     /// Dispatch once per batch to a loop with `k` fixed at compile time:
     /// the fused hash unrolls and the `k` mask loads issue back-to-back
-    /// with no loop-carried control flow. `k > 8` falls back to the
-    /// runtime-`k` loop (identical results).
-    fn dispatch_k<W: MaskWord, S: KeySource>(
+    /// with no loop-carried control flow. Multi-word masks and `k > 8`
+    /// take the runtime-`k` loop (identical results).
+    fn accumulate_width<W: MaskWord, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
         src: S,
         counts: &mut [u64],
     ) {
+        if self.words_per_mask > 1 {
+            return self.accumulate_runtime_k(slices, src, counts);
+        }
         match self.params.k {
-            1 => self.accumulate_const_k::<1, W, S>(slices, src, counts),
-            2 => self.accumulate_const_k::<2, W, S>(slices, src, counts),
-            3 => self.accumulate_const_k::<3, W, S>(slices, src, counts),
-            4 => self.accumulate_const_k::<4, W, S>(slices, src, counts),
-            5 => self.accumulate_const_k::<5, W, S>(slices, src, counts),
-            6 => self.accumulate_const_k::<6, W, S>(slices, src, counts),
-            7 => self.accumulate_const_k::<7, W, S>(slices, src, counts),
-            8 => self.accumulate_const_k::<8, W, S>(slices, src, counts),
+            1 => self.accumulate_k::<1, W, S>(slices, src, counts),
+            2 => self.accumulate_k::<2, W, S>(slices, src, counts),
+            3 => self.accumulate_k::<3, W, S>(slices, src, counts),
+            4 => self.accumulate_k::<4, W, S>(slices, src, counts),
+            5 => self.accumulate_k::<5, W, S>(slices, src, counts),
+            6 => self.accumulate_k::<6, W, S>(slices, src, counts),
+            7 => self.accumulate_k::<7, W, S>(slices, src, counts),
+            8 => self.accumulate_k::<8, W, S>(slices, src, counts),
             _ => self.accumulate_runtime_k(slices, src, counts),
         }
     }
 
-    /// Dispatch for the `p ≤ 8` (byte-mask) bank: same const-`k` table as
-    /// [`Self::dispatch_k`], but the loops accumulate into one packed
-    /// 8×8-bit counter word via [`SPREAD8`] instead of a per-set-bit
-    /// scatter loop. `k > 8` falls back to the generic runtime-`k` path.
-    fn dispatch_k_packed8<S: KeySource>(&self, slices: &[Box<[u8]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed8::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed8::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed8::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed8::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed8::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed8::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed8::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed8::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
-        }
-    }
-
-    /// Dispatch for the `p ≤ 16` (u16-mask) bank: SPREAD16 — the packed
-    /// byte-counter trick of [`Self::dispatch_k_packed8`] spread across a
-    /// *pair* of packed words, one [`SPREAD8`] lookup per mask byte
-    /// (languages 0–7 in the low word, 8–15 in the high word). Same flush
-    /// cadence (every 255 keys, before any lane can wrap), same branchless
-    /// per-key update. `k > 8` falls back to the generic runtime-`k` path.
-    fn dispatch_k_packed16<S: KeySource>(&self, slices: &[Box<[u16]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed16::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed16::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed16::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed16::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed16::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed16::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed16::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed16::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
-        }
-    }
-
-    /// Dispatch for the `p ≤ 32` (u32-mask) bank: SPREAD32 — the packed
-    /// byte-counter trick extended to a *quad* of packed words, one
-    /// [`SPREAD8`] lookup per mask byte (languages `8w .. 8w + 8` in word
-    /// `w`). Same flush cadence as the narrower paths. `k > 8` falls back
-    /// to the generic runtime-`k` path.
-    fn dispatch_k_packed32<S: KeySource>(&self, slices: &[Box<[u32]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed32::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed32::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed32::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed32::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed32::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed32::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed32::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed32::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
-        }
-    }
-
-    /// Hot loop for u32 masks (`p ≤ 32`) with compile-time `K`: the match
-    /// mask's four bytes index [`SPREAD8`] and four 64-bit adds bump all
-    /// thirty-two per-language byte counters — branchless per key, no
-    /// per-set-bit scatter loop. Each byte lane grows by at most 1 per
-    /// key, so the quad drains into the `u64` counters every 255 keys.
-    fn accumulate_packed32<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u32]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u32]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut packed = [0u64; 4];
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            packed[0] = packed[0].wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            packed[1] = packed[1].wrapping_add(SPREAD8[(mask >> 8 & 0xFF) as usize]);
-            packed[2] = packed[2].wrapping_add(SPREAD8[(mask >> 16 & 0xFF) as usize]);
-            packed[3] = packed[3].wrapping_add(SPREAD8[(mask >> 24) as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed32(&packed, counts);
-                packed = [0; 4];
-                pending = 0;
-            }
-        });
-        Self::flush_packed32(&packed, counts);
-    }
-
-    /// Hot loop for u16 masks (`p ≤ 16`) with compile-time `K`: the match
-    /// mask's two bytes index [`SPREAD8`] and two 64-bit adds bump all
-    /// sixteen per-language byte counters — branchless per key, no
-    /// per-set-bit scatter loop. Each byte lane grows by at most 1 per
-    /// key, so the pair drains into the `u64` counters every 255 keys.
-    fn accumulate_packed16<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u16]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u16]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            lo = lo.wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            hi = hi.wrapping_add(SPREAD8[(mask >> 8) as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed16(lo, hi, counts);
-                lo = 0;
-                hi = 0;
-                pending = 0;
-            }
-        });
-        Self::flush_packed16(lo, hi, counts);
-    }
-
-    /// Hot loop for byte masks (`p ≤ 8`) with compile-time `K`: the match
-    /// mask indexes [`SPREAD8`] and one 64-bit add bumps all eight
-    /// per-language byte counters at once — branchless per key. Each byte
-    /// grows by at most 1 per key, so the packed word is drained into the
-    /// `u64` counters every 255 keys, before any byte can wrap.
-    fn accumulate_packed8<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u8]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u8]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut packed = 0u64;
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            packed = packed.wrapping_add(SPREAD8[mask as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed8(packed, counts);
-                packed = 0;
-                pending = 0;
-            }
-        });
-        Self::flush_packed8(packed, counts);
-    }
-
-    /// Hot loop for single-element masks with compile-time `K`.
-    fn accumulate_const_k<const K: usize, W: MaskWord, S: KeySource>(
+    /// Single-word masks with compile-time `K`: the AVX2 engine when one
+    /// was built, else the scalar loop.
+    fn accumulate_k<const K: usize, W: MaskWord, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
         src: S,
         counts: &mut [u64],
     ) {
-        // Hoist the Vec<Box<..>> double indirection: K flat slice views,
+        // Hoist the Vec<Box<..>> double indirection: K flat row views,
         // loaded once per batch instead of twice per key.
-        let slices: [&[W]; K] = std::array::from_fn(|i| &*slices[i]);
+        let rows: [&[W]; K] = std::array::from_fn(|i| &*slices[i]);
         // Resolve the const-K fused hash view once per batch: no per-key
         // lazy-init or K == k check inside the loop.
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask = mask.and(slices[i][addrs[i] as usize]);
-            }
-            Self::scatter_add(mask.to_u64(), 0, counts);
-        });
+        let eval = self.hashes.fused_evaluator_k::<K>();
+        if let Some(engine) = &self.simd {
+            return engine.accumulate(&rows, eval, src, counts);
+        }
+        let mut tally = Tally::<W>::new(counts);
+        src.for_each_key(|key| tally.add(probe(&eval, &rows, key)));
+        tally.finish();
     }
 
-    /// Single-element masks with runtime `k` (`k > 8`).
+    /// Runtime `k`, any number of words per mask.
     fn accumulate_runtime_k<W: MaskWord, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
@@ -704,58 +597,19 @@ impl FilterBank {
         counts: &mut [u64],
     ) {
         let mut addrs = vec![0u32; self.params.k];
+        let mut mask = vec![W::ZERO; self.words_per_mask];
         let hashes = self.hashes.fused_evaluator();
+        let mut tally = Tally::<W>::new(counts);
         src.for_each_key(|key| {
             hashes.hash_all_into(key, &mut addrs);
-            let mut mask = slices[0][addrs[0] as usize];
-            for (i, &a) in addrs.iter().enumerate().skip(1) {
-                mask = mask.and(slices[i][a as usize]);
-            }
-            Self::scatter_add(mask.to_u64(), 0, counts);
-        });
-    }
-
-    /// Multi-word masks (`p > 64`), runtime `k`.
-    fn accumulate_multiword<S: KeySource>(
-        &self,
-        slices: &[Box<[u64]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let wpm = self.words_per_mask;
-        let mut addrs = vec![0u32; self.params.k];
-        let mut mask = vec![0u64; wpm];
-        let hashes = self.hashes.fused_evaluator();
-        src.for_each_key(|key| {
-            hashes.hash_all_into(key, &mut addrs);
-            if Self::and_reduce(slices, wpm, &addrs, &mut mask) {
+            if and_reduce(slices, &addrs, &mut mask) {
                 for (w, &word) in mask.iter().enumerate() {
-                    Self::scatter_add(word, w * 64, counts);
+                    tally.count(w, word.to_u64());
                 }
+                tally.tick(1);
             }
         });
-    }
-
-    /// AND-reduce the `k` per-hash multi-word masks at `addrs` into `mask`;
-    /// returns whether any language survived.
-    #[inline]
-    fn and_reduce(slices: &[Box<[u64]>], wpm: usize, addrs: &[u32], mask: &mut [u64]) -> bool {
-        debug_assert_eq!(mask.len(), wpm);
-        let base = addrs[0] as usize * wpm;
-        mask.copy_from_slice(&slices[0][base..base + wpm]);
-        let mut alive = mask.iter().any(|&w| w != 0);
-        for (i, &addr) in addrs.iter().enumerate().skip(1) {
-            if !alive {
-                break;
-            }
-            let base = addr as usize * wpm;
-            alive = false;
-            for (m, &s) in mask.iter_mut().zip(&slices[i][base..base + wpm]) {
-                *m &= s;
-                alive |= *m != 0;
-            }
-        }
-        alive
+        tally.finish();
     }
 }
 
@@ -822,6 +676,10 @@ mod tests {
         let (_, wide) = bank_fixture(65, BloomParams::from_kbits(4, 2), 10, 2);
         assert_eq!(wide.words_per_mask(), 2);
         assert_eq!(wide.mask_entry_bits(), 128);
+
+        // The width depends on p alone, also beyond the const-k dispatch.
+        let (_, k9) = bank_fixture(8, BloomParams::from_kbits(4, 9), 5, 2);
+        assert_eq!(k9.mask_entry_bits(), 8);
     }
 
     #[test]
@@ -856,38 +714,33 @@ mod tests {
     }
 
     #[test]
-    fn packed8_flush_boundary_is_exact() {
-        // The byte-mask path drains its packed counters every 255 keys;
-        // key streams crossing that boundary (and hitting it exactly) must
-        // still equal the naive per-language walk.
+    fn packed_flush_boundary_is_exact() {
+        // The packed byte counters drain every FLUSH_AT keys. Every query
+        // key is programmed into every language, so every byte lane grows
+        // by one per key: streams ending just before, at and after a
+        // drain must still equal the naive walk, on both probe paths and
+        // across the u8 (8), u16 (12, 16) and u32 (20, 32) rows.
         let params = BloomParams::new(4, 10);
-        let (filters, bank) = bank_fixture(8, params, 400, 7);
         let mut rng = SmallRng::seed_from_u64(99);
-        for n in [254usize, 255, 256, 510, 511, 1021] {
-            let keys: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
-            let mut banked = vec![0u64; 8];
-            bank.accumulate_keys(keys.iter().copied(), &mut banked);
-            assert_eq!(banked, naive_counts(&filters, &keys), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn packed16_flush_boundary_is_exact() {
-        // The u16-mask path (SPREAD16) drains its packed counter pair
-        // every 255 keys; key streams crossing that boundary (and hitting
-        // it exactly) must still equal the naive per-language walk — for
-        // language counts on both sides of the byte split (p ≤ 8 uses the
-        // low word only, p > 8 both).
-        let params = BloomParams::new(4, 10);
-        for p in [9usize, 12, 16] {
-            let (filters, bank) = bank_fixture(p, params, 400, 11);
-            assert_eq!(bank.mask_entry_bits(), 16, "p = {p} must take the u16 bank");
-            let mut rng = SmallRng::seed_from_u64(101);
-            for n in [254usize, 255, 256, 510, 511, 1021] {
-                let keys: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
-                let mut banked = vec![0u64; p];
-                bank.accumulate_keys(keys.iter().copied(), &mut banked);
-                assert_eq!(banked, naive_counts(&filters, &keys), "p = {p}, n = {n}");
+        let shared: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
+        for p in [8usize, 12, 16, 20, 32] {
+            let (mut filters, _) = bank_fixture(p, params, 200, 7);
+            for f in &mut filters {
+                f.program_all(shared.iter().copied());
+            }
+            let mut bank = FilterBank::from_filters(&filters);
+            for n in [247usize, 248, 249, 255, 256, 496, 1021] {
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| shared[rng.gen_range(0..shared.len())])
+                    .collect();
+                let naive = naive_counts(&filters, &keys);
+                assert_eq!(naive, vec![n as u64; p], "every key matches every language");
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    bank.set_simd_level(level);
+                    let mut banked = vec![0u64; p];
+                    bank.accumulate_keys(keys.iter().copied(), &mut banked);
+                    assert_eq!(banked, naive, "p = {p}, n = {n}, {level}");
+                }
             }
         }
     }
@@ -918,21 +771,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Banked accumulation must equal the naive per-language loop for
-        /// any p — every mask width (u8/u16/u32/u64) and the multi-word
-        /// boundary (p > 64) — any key set, and any query set.
+        /// Banked accumulation must equal the naive per-language loop on
+        /// both probe paths for any p — every mask width (u8/u16/u32/u64)
+        /// and the multi-word boundary (p > 64) — every k (each const-k
+        /// arm and the runtime-k loop), any key set, and any query set.
         #[test]
         fn banked_counts_equal_naive(
-            p in prop_p(), seed in any::<u64>(),
+            p in prop_p(), k in 1usize..=10, seed in any::<u64>(),
             queries in proptest::collection::vec(any::<u64>(), 0..200),
         ) {
             // Small vectors (m = 256) so collisions and partial matches are
             // common — the interesting regime for equivalence.
-            let params = BloomParams::new(3, 8);
-            let (filters, bank) = bank_fixture(p, params, 60, seed);
-            let mut banked = vec![0u64; p];
-            bank.accumulate_keys(queries.iter().copied(), &mut banked);
-            prop_assert_eq!(banked, naive_counts(&filters, &queries));
+            let params = BloomParams::new(k, 8);
+            let (filters, mut bank) = bank_fixture(p, params, 60, seed);
+            let naive = naive_counts(&filters, &queries);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                bank.set_simd_level(level);
+                let mut banked = vec![0u64; p];
+                bank.accumulate_keys(queries.iter().copied(), &mut banked);
+                prop_assert_eq!(&banked, &naive, "{}: {:?} != {:?}", level, banked, naive);
+            }
         }
 
         /// A push-style KeySource (the fused extraction shape) accumulates

@@ -3,25 +3,22 @@
 //!
 //! # Shape
 //!
-//! [`Avx2Probe`] is the vector twin of the scalar loops in
+//! [`Avx2Probe`] is the vector twin of the scalar const-`K` loop in
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
 //! has a vector fast path: `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits. The key
 //! source delivers 8-key blocks ([`KeySource::for_each_key_block`]), the
 //! transposed H3 evaluator ([`lc_hash::simd::hash8`]) produces 8 addresses
 //! per hash function, one `vpgatherdd`/`vpgatherqq` per function pulls the
-//! 8 language masks, and the AND-reduce across `k` runs in registers. A
-//! `vptest` skips the count stage for all-miss blocks. Counting drains
-//! through the same SPREAD8 packed byte counters as the scalar path.
+//! 8 language masks straight from the bank's rows, and the AND-reduce
+//! across `k` runs in registers. A `vptest` skips the count stage for
+//! all-miss blocks. Counting and leftover keys go through the same
+//! [`crate::bank::Tally`] and [`crate::bank::probe`] as the scalar loop.
 //!
 //! Anything else (`p > 64` multi-word masks, k > 8, keys wider than 32
 //! bits) keeps the scalar loops, and [`crate::FilterBank::simd_level`]
 //! honestly reports `scalar`. A 256-bit AND-reduce over the multi-word
 //! masks was tried and did not beat the scalar multi-word loop.
-//!
-//! The engine owns padded copies of the probe slices (u8 rows +3 bytes,
-//! u16 rows +2 entries) so the dword gathers at the last addresses stay in
-//! bounds; the scalar bank slices remain untouched and authoritative.
 //!
 //! # Equivalence
 //!
@@ -30,6 +27,10 @@
 //! all mask widths, tails not divisible by 8, and arbitrary chunkings.
 
 #![allow(unsafe_code)]
+
+use crate::bank::MaskWord;
+use crate::KeySource;
+use lc_hash::FusedEvaluatorK;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::Avx2Probe;
@@ -46,61 +47,36 @@ impl Avx2Probe {
         None
     }
 
-    pub(crate) fn accumulate<S: crate::KeySource>(&self, _src: S, _counts: &mut [u64]) {
+    pub(crate) fn accumulate<const K: usize, W: MaskWord, S: KeySource>(
+        &self,
+        _rows: &[&[W]; K],
+        _eval: FusedEvaluatorK<'_, K>,
+        _src: S,
+        _counts: &mut [u64],
+    ) {
         match *self {}
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::bank::{FilterBank, KeyBlockSink, KeySource, MaskSlices, KEY_BLOCK_LANES, SPREAD8};
+    use super::{FusedEvaluatorK, KeySource, MaskWord};
+    use crate::bank::{probe, Tally};
+    use crate::{KeyBlockSink, KEY_BLOCK_LANES};
     use core::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
         _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_set1_epi32,
         _mm256_storeu_si256, _mm256_testz_si256,
     };
-    use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel, TransposedTables};
-
-    /// Flush the packed byte counters after this many pending keys: each
-    /// byte lane grows by at most 1 per key, and blocks arrive 8 keys at a
-    /// time, so draining at 248 (= 255 rounded down to a block multiple)
-    /// guarantees no lane ever wraps.
-    const FLUSH_AT: u32 = 248;
-
-    /// Copy a byte slice with `pad` trailing zero bytes so a 4-byte gather
-    /// at the last valid address stays in bounds.
-    fn pad_bytes(s: &[u8], pad: usize) -> Vec<u8> {
-        let mut v = Vec::with_capacity(s.len() + pad);
-        v.extend_from_slice(s);
-        v.resize(s.len() + pad, 0);
-        v
-    }
-
-    /// Copy a u16 slice with `pad` trailing zero entries (a 4-byte gather
-    /// at the last address reads 2 bytes past the entry).
-    fn pad_words(s: &[u16], pad: usize) -> Vec<u16> {
-        let mut v = Vec::with_capacity(s.len() + pad);
-        v.extend_from_slice(s);
-        v.resize(s.len() + pad, 0);
-        v
-    }
-
-    /// Padded per-width probe copies (one row per hash function).
-    #[derive(Clone, Debug)]
-    enum PaddedSlices {
-        W8(Vec<Vec<u8>>),
-        W16(Vec<Vec<u16>>),
-        W32(Vec<Vec<u32>>),
-        W64(Vec<Vec<u64>>),
-    }
+    use lc_hash::{SimdLevel, TransposedTables};
 
     /// The per-classifier AVX2 probe engine (`p ≤ 64`, `k ≤ 8`, ≤ 32-bit
     /// keys): the blocked 8-lane pipeline. See the [module docs](super).
     #[derive(Clone, Debug)]
     pub(crate) struct Avx2Probe {
-        family: H3Family,
         tables: TransposedTables,
-        width: PaddedSlices,
+        /// Vector length `m`: every gathered address is below it.
+        m: usize,
     }
 
     impl Avx2Probe {
@@ -110,128 +86,75 @@ mod x86 {
             if !SimdLevel::cpu_has_avx2() || bank.words_per_mask() > 1 {
                 return None;
             }
-            let family = bank.hashes().clone();
-            let tables = family.transposed_tables();
-            if !tables.avx2_eligible() {
-                return None;
-            }
-            let width = match bank.mask_slices() {
-                MaskSlices::W8(s) => PaddedSlices::W8(s.iter().map(|s| pad_bytes(s, 3)).collect()),
-                MaskSlices::W16(s) => {
-                    PaddedSlices::W16(s.iter().map(|s| pad_words(s, 1)).collect())
-                }
-                MaskSlices::W32(s) => PaddedSlices::W32(s.iter().map(|s| s.to_vec()).collect()),
-                MaskSlices::W64(s) => PaddedSlices::W64(s.iter().map(|s| s.to_vec()).collect()),
-            };
-            Some(Self {
-                family,
+            let tables = bank.hashes().transposed_tables();
+            tables.avx2_eligible().then(|| Self {
                 tables,
-                width,
+                m: bank.params().m_bits(),
             })
         }
 
-        pub(crate) fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            match self.tables.k() {
-                1 => self.run::<1, S>(src, counts),
-                2 => self.run::<2, S>(src, counts),
-                3 => self.run::<3, S>(src, counts),
-                4 => self.run::<4, S>(src, counts),
-                5 => self.run::<5, S>(src, counts),
-                6 => self.run::<6, S>(src, counts),
-                7 => self.run::<7, S>(src, counts),
-                8 => self.run::<8, S>(src, counts),
-                _ => unreachable!("build() only admits k in 1..=8"),
-            }
-        }
-
-        fn run<const K: usize, S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            let key_mask = self.tables.key_mask();
-            let eval = self.family.fused_evaluator_k::<K>();
-            match &self.width {
-                PaddedSlices::W8(s) => {
-                    let mut sink = Sink8::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        packed: 0,
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W16(s) => {
-                    let mut sink = Sink16::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        lo: 0,
-                        hi: 0,
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W32(s) => {
-                    let mut sink = Sink32::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        packed: [0; 4],
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W64(s) => {
-                    let mut sink = Sink64::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                }
-            }
+        /// Drain `src` through the 8-lane pipeline, gathering from the
+        /// bank's `rows`.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless there is one row per hash function and each holds
+        /// at least `m + W::GATHER_PAD` entries — the bank's padding
+        /// invariant, which every gather below relies on.
+        pub(crate) fn accumulate<const K: usize, W: MaskWord, S: KeySource>(
+            &self,
+            rows: &[&[W]; K],
+            eval: FusedEvaluatorK<'_, K>,
+            src: S,
+            counts: &mut [u64],
+        ) {
+            assert_eq!(K, self.tables.k(), "one row per hash function");
+            assert!(
+                rows.iter().all(|r| r.len() >= self.m + W::GATHER_PAD),
+                "mask rows must carry their gather padding"
+            );
+            let mut sink = Sink {
+                tables: &self.tables,
+                rows,
+                eval,
+                tally: Tally::new(counts),
+            };
+            src.for_each_key_block(self.tables.key_mask(), &mut sink);
+            sink.tally.finish();
         }
     }
 
-    /// Gather the 8 byte-wide masks at `addrs` from a padded u8 row.
+    /// Gather the 8 masks at `addrs` from a row of entries up to 32 bits
+    /// wide, one dword per lane, with the bits above the entry cleared.
     #[target_feature(enable = "avx2")]
-    fn gather_u8(slice: &[u8], addrs: __m256i) -> __m256i {
-        // safety: every addr lane is < m (H3 output width) and the row
-        // holds m + 3 bytes, so each 4-byte gather at byte offset `addr`
-        // stays inside the allocation; the pad bytes are masked off below.
-        let v = unsafe { _mm256_i32gather_epi32::<1>(slice.as_ptr().cast::<i32>(), addrs) };
-        _mm256_and_si256(v, _mm256_set1_epi32(0xFF))
-    }
-
-    /// Gather the 8 u16-wide masks at `addrs` from a padded u16 row.
-    #[target_feature(enable = "avx2")]
-    fn gather_u16(slice: &[u16], addrs: __m256i) -> __m256i {
-        // safety: addr < m and the row holds m + 1 entries, so each 4-byte
-        // gather at byte offset 2·addr stays inside the allocation; the pad
-        // entry is masked off below.
-        let v = unsafe { _mm256_i32gather_epi32::<2>(slice.as_ptr().cast::<i32>(), addrs) };
-        _mm256_and_si256(v, _mm256_set1_epi32(0xFFFF))
-    }
-
-    /// Gather the 8 u32-wide masks at `addrs` (exact-width reads, no pad).
-    #[target_feature(enable = "avx2")]
-    fn gather_u32(slice: &[u32], addrs: __m256i) -> __m256i {
-        // safety: addr < m = slice.len(), and a 4-byte gather at byte
-        // offset 4·addr reads exactly one in-bounds entry.
-        unsafe { _mm256_i32gather_epi32::<4>(slice.as_ptr().cast::<i32>(), addrs) }
+    fn gather<W: MaskWord>(row: &[W], addrs: __m256i) -> __m256i {
+        let base = row.as_ptr().cast::<i32>();
+        // safety: every addr lane is < m (H3 output width), and
+        // `Avx2Probe::accumulate` asserted the row holds m + W::GATHER_PAD
+        // entries (the bank's padding invariant), so each 4-byte read at
+        // byte offset addr · W::BITS / 8 stays inside the row.
+        let v = unsafe {
+            match W::BITS {
+                8 => _mm256_i32gather_epi32::<1>(base, addrs),
+                16 => _mm256_i32gather_epi32::<2>(base, addrs),
+                _ => _mm256_i32gather_epi32::<4>(base, addrs),
+            }
+        };
+        if W::BITS < 32 {
+            _mm256_and_si256(v, _mm256_set1_epi32((1 << W::BITS) - 1))
+        } else {
+            v
+        }
     }
 
     /// Gather 4 u64-wide masks at the four i32 addresses in `addrs`.
     #[target_feature(enable = "avx2")]
-    fn gather_u64(slice: &[u64], addrs: __m128i) -> __m256i {
-        // safety: addr < m = slice.len(), and an 8-byte gather at byte
-        // offset 8·addr reads exactly one in-bounds entry.
-        unsafe { _mm256_i32gather_epi64::<8>(slice.as_ptr().cast::<i64>(), addrs) }
+    fn gather64<W: MaskWord>(row: &[W], addrs: __m128i) -> __m256i {
+        assert_eq!(W::BITS, 64, "8-byte gathers need 8-byte entries");
+        // safety: entries are 8 bytes wide, every addr lane is < m (H3
+        // output width) and `Avx2Probe::accumulate` asserted the row holds
+        // at least m entries, so each 8-byte read is one in-bounds entry.
+        unsafe { _mm256_i32gather_epi64::<8>(row.as_ptr().cast::<i64>(), addrs) }
     }
 
     /// Store the 8 u32 lanes of `v`.
@@ -252,233 +175,57 @@ mod x86 {
         out
     }
 
-    /// `p ≤ 8` sink: one packed SPREAD8 counter word, like the scalar
-    /// `accumulate_packed8`, fed by 8-lane gathered masks.
-    struct Sink8<'a, const K: usize> {
+    /// The block sink for every mask width: 8-lane gathers for blocks,
+    /// the scalar [`probe`] for leftover keys, one [`Tally`] for both.
+    struct Sink<'a, const K: usize, W> {
         tables: &'a TransposedTables,
-        slices: [&'a [u8]; K],
+        rows: &'a [&'a [W]; K],
         eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-        packed: u64,
-        pending: u32,
+        tally: Tally<'a, W>,
     }
 
-    impl<const K: usize> Sink8<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed8(self.packed, self.counts);
-            self.packed = 0;
-            self.pending = 0;
-        }
-
+    impl<const K: usize, W: MaskWord> Sink<'_, K, W> {
         #[target_feature(enable = "avx2")]
         fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
             // safety: keys is exactly 32 bytes; loadu needs no alignment.
             let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
             let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u8(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u8(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.packed = self.packed.wrapping_add(SPREAD8[l as usize]);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink8<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.packed = self.packed.wrapping_add(SPREAD8[mask as usize]);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    /// `p ≤ 16` sink: the SPREAD16 packed pair, fed by 8-lane gathers.
-    struct Sink16<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u16]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-        lo: u64,
-        hi: u64,
-        pending: u32,
-    }
-
-    impl<const K: usize> Sink16<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed16(self.lo, self.hi, self.counts);
-            self.lo = 0;
-            self.hi = 0;
-            self.pending = 0;
-        }
-
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u16(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u16(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.lo = self.lo.wrapping_add(SPREAD8[(l & 0xFF) as usize]);
-                    self.hi = self.hi.wrapping_add(SPREAD8[(l >> 8) as usize]);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink16<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.lo = self.lo.wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            self.hi = self.hi.wrapping_add(SPREAD8[(mask >> 8) as usize]);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    /// `p ≤ 32` sink: four packed SPREAD8 words (the scalar `packed32`
-    /// path), fed by exact-width 8-lane gathers.
-    struct Sink32<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u32]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-        packed: [u64; 4],
-        pending: u32,
-    }
-
-    impl<const K: usize> Sink32<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed32(&self.packed, self.counts);
-            self.packed = [0; 4];
-            self.pending = 0;
-        }
-
-        fn count(&mut self, mask: u32) {
-            self.packed[0] = self.packed[0].wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            self.packed[1] = self.packed[1].wrapping_add(SPREAD8[(mask >> 8 & 0xFF) as usize]);
-            self.packed[2] = self.packed[2].wrapping_add(SPREAD8[(mask >> 16 & 0xFF) as usize]);
-            self.packed[3] = self.packed[3].wrapping_add(SPREAD8[(mask >> 24) as usize]);
-        }
-
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u32(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u32(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.count(l);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink32<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.count(mask);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    /// `33 ≤ p ≤ 64` sink: u64 masks, gathered four lanes at a time and
-    /// scatter-added (too wide for packed byte counters).
-    struct Sink64<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u64]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-    }
-
-    impl<const K: usize> Sink64<'_, K> {
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            for half in 0..2 {
-                let pick = |v: __m256i| {
-                    if half == 0 {
-                        _mm256_castsi256_si128(v)
-                    } else {
-                        _mm256_extracti128_si256::<1>(v)
+            if W::BITS == 64 {
+                // u64 masks: two 4-lane halves.
+                for half in 0..2 {
+                    let pick = |v: __m256i| {
+                        if half == 0 {
+                            _mm256_castsi256_si128(v)
+                        } else {
+                            _mm256_extracti128_si256::<1>(v)
+                        }
+                    };
+                    let mut m = gather64(self.rows[0], pick(addrs[0]));
+                    for (r, &a) in self.rows[1..].iter().zip(&addrs[1..]) {
+                        m = _mm256_and_si256(m, gather64(r, pick(a)));
                     }
-                };
-                let mut m = gather_u64(self.slices[0], pick(addrs[0]));
-                for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                    m = _mm256_and_si256(m, gather_u64(s, pick(a)));
+                    if _mm256_testz_si256(m, m) == 0 {
+                        for word in lanes_u64(m) {
+                            self.tally.count(0, word);
+                        }
+                    }
+                }
+            } else {
+                let mut m = gather(self.rows[0], addrs[0]);
+                for (r, &a) in self.rows[1..].iter().zip(&addrs[1..]) {
+                    m = _mm256_and_si256(m, gather(r, a));
                 }
                 if _mm256_testz_si256(m, m) == 0 {
-                    for word in lanes_u64(m) {
-                        FilterBank::scatter_add(word, 0, self.counts);
+                    for lane in lanes_u32(m) {
+                        self.tally.count(0, u64::from(lane));
                     }
                 }
             }
+            self.tally.tick(KEY_BLOCK_LANES as u32);
         }
     }
 
-    impl<const K: usize> KeyBlockSink for Sink64<'_, K> {
+    impl<const K: usize, W: MaskWord> KeyBlockSink for Sink<'_, K, W> {
         fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
             // safety: this sink only exists inside an engine built after
             // the AVX2 cpuid check; the feature cannot disappear at runtime.
@@ -486,12 +233,7 @@ mod x86 {
         }
 
         fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            FilterBank::scatter_add(mask, 0, self.counts);
+            self.tally.add(probe(&self.eval, self.rows, key));
         }
     }
 }

@@ -178,7 +178,7 @@ proptest! {
     /// the forced-scalar path agree exactly — and both equal naive — for
     /// any document, any chunking (splits land mid-SIMD-block and mid
     /// n-gram window), any sub-sampling factor s ∈ 1..=4, at every mask
-    /// width including the packed32 boundary (p = 32).
+    /// width including the widest packed-counter bank (p = 32).
     #[test]
     fn forced_scalar_equals_auto_dispatch(
         p in any_p(),
