@@ -59,11 +59,6 @@ use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel};
 use std::marker::PhantomData;
 use std::ops::BitAnd;
 
-/// Keys per block in [`KeySource::for_each_key_block`] — one AVX2 register
-/// of 32-bit keys. Matches `lc_ngram::BLOCK_LANES` (the extractor's block
-/// width) by design; the classifier asserts the two agree.
-pub const KEY_BLOCK_LANES: usize = 8;
-
 /// A push-style source of query keys — the fused-path analogue of an
 /// iterator. `for_each_key` hands every key to `sink` exactly once, in
 /// order; the bank monomorphizes its probe loop around the call, so a
@@ -76,44 +71,6 @@ pub const KEY_BLOCK_LANES: usize = 8;
 pub trait KeySource {
     /// Push every key into `sink`, in order.
     fn for_each_key(self, sink: impl FnMut(u64));
-
-    /// Push the keys in [`KEY_BLOCK_LANES`]-wide blocks of 32-bit keys
-    /// (each key masked by `key_mask`, which the caller guarantees fits
-    /// `u32`), with any stragglers delivered singly via
-    /// [`KeyBlockSink::key`]. Counts commute, so a source may freely mix
-    /// blocks and single keys — the default packs the `for_each_key`
-    /// stream; block-native sources (the blocked n-gram extractor)
-    /// override it to hand over whole SIMD blocks with no repacking.
-    fn for_each_key_block(self, key_mask: u64, sink: &mut impl KeyBlockSink)
-    where
-        Self: Sized,
-    {
-        let mut buf = [0u32; KEY_BLOCK_LANES];
-        let mut filled = 0usize;
-        self.for_each_key(|key| {
-            buf[filled] = (key & key_mask) as u32;
-            filled += 1;
-            if filled == KEY_BLOCK_LANES {
-                sink.block(&buf);
-                filled = 0;
-            }
-        });
-        for &key in &buf[..filled] {
-            sink.key(u64::from(key));
-        }
-    }
-}
-
-/// Receiver for [`KeySource::for_each_key_block`]: whole blocks take the
-/// vector path, stragglers (warm-up, chunk joins, tails shorter than a
-/// block) take the scalar path. Both must produce identical counts —
-/// pinned by the equivalence proptests.
-pub trait KeyBlockSink {
-    /// Probe a full block of [`KEY_BLOCK_LANES`] pre-masked 32-bit keys.
-    fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]);
-
-    /// Probe one key on the scalar path.
-    fn key(&mut self, key: u64);
 }
 
 impl<I: IntoIterator<Item = u64>> KeySource for I {
@@ -621,24 +578,37 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Build `p` filters over a shared hash family, each programmed with its
-    /// own random keys, plus the bank transposed from them.
+    /// Build `p` filters over a shared hash family, language `j` programmed
+    /// with the keys `fixture_keys(..)[j]`, plus the bank transposed from
+    /// them.
     fn bank_fixture(
         p: usize,
         params: BloomParams,
         keys_per_lang: usize,
         seed: u64,
     ) -> (Vec<ParallelBloomFilter>, FilterBank) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let filters: Vec<ParallelBloomFilter> = (0..p)
-            .map(|_| {
+        let filters: Vec<ParallelBloomFilter> = fixture_keys(p, keys_per_lang, seed)
+            .into_iter()
+            .map(|keys| {
                 let mut f = ParallelBloomFilter::new(params, 20, seed);
-                f.program_all((0..keys_per_lang).map(|_| rng.gen::<u64>() & 0xF_FFFF));
+                f.program_all(keys);
                 f
             })
             .collect();
         let bank = FilterBank::from_filters(&filters);
         (filters, bank)
+    }
+
+    /// The random 20-bit keys [`bank_fixture`] programs, per language.
+    fn fixture_keys(p: usize, keys_per_lang: usize, seed: u64) -> Vec<Vec<u64>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..p)
+            .map(|_| {
+                (0..keys_per_lang)
+                    .map(|_| rng.gen::<u64>() & 0xF_FFFF)
+                    .collect()
+            })
+            .collect()
     }
 
     fn naive_counts(filters: &[ParallelBloomFilter], keys: &[u64]) -> Vec<u64> {
@@ -774,16 +744,25 @@ mod tests {
         /// Banked accumulation must equal the naive per-language loop on
         /// both probe paths for any p — every mask width (u8/u16/u32/u64)
         /// and the multi-word boundary (p > 64) — every k (each const-k
-        /// arm and the runtime-k loop), any key set, and any query set.
+        /// arm and the runtime-k loop), both packed H3 field widths, any
+        /// key set, and any query set.
         #[test]
         fn banked_counts_equal_naive(
-            p in prop_p(), k in 1usize..=10, seed in any::<u64>(),
+            p in prop_p(), k in 1usize..=10, seed in any::<u64>(), wide_m in any::<bool>(),
             queries in proptest::collection::vec(any::<u64>(), 0..200),
         ) {
             // Small vectors (m = 256) so collisions and partial matches are
-            // common — the interesting regime for equivalence.
-            let params = BloomParams::new(k, 8);
+            // common — the interesting regime for equivalence. m = 128 Kbit
+            // (17 address bits) takes the 32-bit H3 fields, which only the
+            // scalar loops read; there random queries all miss, so a few of
+            // each language's programmed keys join them.
+            let address_bits = if wide_m { 17 } else { 8 };
+            let params = BloomParams::new(k, address_bits);
             let (filters, mut bank) = bank_fixture(p, params, 60, seed);
+            let mut queries = queries;
+            if wide_m {
+                queries.extend(fixture_keys(p, 60, seed).iter().flat_map(|ks| &ks[..3]));
+            }
             let naive = naive_counts(&filters, &queries);
             for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 bank.set_simd_level(level);

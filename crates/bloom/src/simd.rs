@@ -6,19 +6,21 @@
 //! [`Avx2Probe`] is the vector twin of the scalar const-`K` loop in
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
-//! has a vector fast path: `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits. The key
-//! source delivers 8-key blocks ([`KeySource::for_each_key_block`]), the
-//! transposed H3 evaluator ([`lc_hash::simd::hash8`]) produces 8 addresses
-//! per hash function, one `vpgatherdd`/`vpgatherqq` per function pulls the
-//! 8 language masks straight from the bank's rows, and the AND-reduce
-//! across `k` runs in registers. A `vptest` skips the count stage for
-//! all-miss blocks. Counting and leftover keys go through the same
-//! [`crate::bank::Tally`] and [`crate::bank::probe`] as the scalar loop.
+//! has a vector fast path: `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits and
+//! `m ≤ 64 Kbit`. The engine packs the key stream into 8-key blocks, the
+//! packed-word H3 evaluator ([`lc_hash::simd::hash8`], the same table the
+//! scalar loop reads) produces 8 addresses per hash function, one
+//! `vpgatherdd`/`vpgatherqq` per function pulls the 8 language masks
+//! straight from the bank's rows, and the AND-reduce across `k` runs in
+//! registers. A `vptest` skips the count stage for all-miss blocks.
+//! Counting and leftover keys go through the same [`crate::bank::Tally`]
+//! and [`crate::bank::probe`] as the scalar loop.
 //!
 //! Anything else (`p > 64` multi-word masks, k > 8, keys wider than 32
-//! bits) keeps the scalar loops, and [`crate::FilterBank::simd_level`]
-//! honestly reports `scalar`. A 256-bit AND-reduce over the multi-word
-//! masks was tried and did not beat the scalar multi-word loop.
+//! bits, m > 64 Kbit) keeps the scalar loops, and
+//! [`crate::FilterBank::simd_level`] honestly reports `scalar`. A 256-bit
+//! AND-reduce over the multi-word masks was tried and did not beat the
+//! scalar multi-word loop.
 //!
 //! # Equivalence
 //!
@@ -62,19 +64,21 @@ impl Avx2Probe {
 mod x86 {
     use super::{FusedEvaluatorK, KeySource, MaskWord};
     use crate::bank::{probe, Tally};
-    use crate::{KeyBlockSink, KEY_BLOCK_LANES};
     use core::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
         _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_set1_epi32,
         _mm256_storeu_si256, _mm256_testz_si256,
     };
-    use lc_hash::{SimdLevel, TransposedTables};
+    use lc_hash::SimdLevel;
+
+    /// Keys per block: one AVX2 register of 32-bit keys.
+    const LANES: usize = 8;
 
     /// The per-classifier AVX2 probe engine (`p ≤ 64`, `k ≤ 8`, ≤ 32-bit
-    /// keys): the blocked 8-lane pipeline. See the [module docs](super).
+    /// keys, m ≤ 64 Kbit): the blocked 8-lane pipeline. See the
+    /// [module docs](super).
     #[derive(Clone, Debug)]
     pub(crate) struct Avx2Probe {
-        tables: TransposedTables,
         /// Vector length `m`: every gathered address is below it.
         m: usize,
     }
@@ -83,24 +87,22 @@ mod x86 {
         /// Build the engine for `bank`'s shape, or `None` when the CPU has
         /// no AVX2 or the shape has no vector fast path.
         pub(crate) fn build(bank: &crate::FilterBank) -> Option<Self> {
-            if !SimdLevel::cpu_has_avx2() || bank.words_per_mask() > 1 {
-                return None;
-            }
-            let tables = bank.hashes().transposed_tables();
-            tables.avx2_eligible().then(|| Self {
-                tables,
+            let shape =
+                bank.words_per_mask() == 1 && bank.params().k <= 8 && bank.hashes().avx2_eligible();
+            (SimdLevel::cpu_has_avx2() && shape).then(|| Self {
                 m: bank.params().m_bits(),
             })
         }
 
         /// Drain `src` through the 8-lane pipeline, gathering from the
-        /// bank's `rows`.
+        /// bank's `rows`: keys are packed into blocks of [`LANES`], and the
+        /// fewer than [`LANES`] left at the end take the scalar probe.
         ///
         /// # Panics
         ///
-        /// Panics unless there is one row per hash function and each holds
-        /// at least `m + W::GATHER_PAD` entries — the bank's padding
-        /// invariant, which every gather below relies on.
+        /// Panics unless each row holds at least `m + W::GATHER_PAD`
+        /// entries — the bank's padding invariant, which every gather
+        /// below relies on.
         pub(crate) fn accumulate<const K: usize, W: MaskWord, S: KeySource>(
             &self,
             rows: &[&[W]; K],
@@ -108,18 +110,32 @@ mod x86 {
             src: S,
             counts: &mut [u64],
         ) {
-            assert_eq!(K, self.tables.k(), "one row per hash function");
             assert!(
                 rows.iter().all(|r| r.len() >= self.m + W::GATHER_PAD),
                 "mask rows must carry their gather padding"
             );
             let mut sink = Sink {
-                tables: &self.tables,
                 rows,
                 eval,
                 tally: Tally::new(counts),
             };
-            src.for_each_key_block(self.tables.key_mask(), &mut sink);
+            let mut block = [0u32; LANES];
+            let mut filled = 0usize;
+            src.for_each_key(|key| {
+                // Truncation is exact: `hash8` masks every lane to the
+                // family's key width, which eligibility keeps within u32.
+                block[filled] = key as u32;
+                filled += 1;
+                if filled == LANES {
+                    // safety: this engine is only built after the AVX2
+                    // cpuid check; the feature cannot disappear at runtime.
+                    unsafe { sink.block(&block) };
+                    filled = 0;
+                }
+            });
+            for &key in &block[..filled] {
+                sink.tally.add(probe(&sink.eval, rows, u64::from(key)));
+            }
             sink.tally.finish();
         }
     }
@@ -175,10 +191,8 @@ mod x86 {
         out
     }
 
-    /// The block sink for every mask width: 8-lane gathers for blocks,
-    /// the scalar [`probe`] for leftover keys, one [`Tally`] for both.
+    /// The 8-lane probe for every mask width, feeding one [`Tally`].
     struct Sink<'a, const K: usize, W> {
-        tables: &'a TransposedTables,
         rows: &'a [&'a [W]; K],
         eval: FusedEvaluatorK<'a, K>,
         tally: Tally<'a, W>,
@@ -186,10 +200,10 @@ mod x86 {
 
     impl<const K: usize, W: MaskWord> Sink<'_, K, W> {
         #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
+        fn block(&mut self, keys: &[u32; LANES]) {
             // safety: keys is exactly 32 bytes; loadu needs no alignment.
             let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
+            let addrs = lc_hash::simd::hash8::<K>(&self.eval, kv);
             if W::BITS == 64 {
                 // u64 masks: two 4-lane halves.
                 for half in 0..2 {
@@ -221,19 +235,7 @@ mod x86 {
                     }
                 }
             }
-            self.tally.tick(KEY_BLOCK_LANES as u32);
-        }
-    }
-
-    impl<const K: usize, W: MaskWord> KeyBlockSink for Sink<'_, K, W> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            self.tally.add(probe(&self.eval, self.rows, key));
+            self.tally.tick(LANES as u32);
         }
     }
 }

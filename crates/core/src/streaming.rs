@@ -8,8 +8,8 @@
 //! bit-identical to whole-buffer classification for any chunking (property
 //! tested).
 
-use lc_bloom::{KeyBlockSink, KeySource};
-use lc_ngram::{GramBlockSink, NGram, StreamingExtractor};
+use lc_bloom::KeySource;
+use lc_ngram::StreamingExtractor;
 
 use crate::classifier::MultiLanguageClassifier;
 use crate::result::ClassificationResult;
@@ -26,41 +26,10 @@ pub(crate) struct FusedChunk<'a> {
     pub chunk: &'a [u8],
 }
 
-// The extractor's block width and the bank's SIMD block width were chosen
-// to match (8 × 32-bit lanes in one AVX2 register); the zero-repacking
-// override below relies on it.
-const _: () = assert!(lc_ngram::BLOCK_LANES == lc_bloom::KEY_BLOCK_LANES);
-
 impl KeySource for FusedChunk<'_> {
     #[inline]
     fn for_each_key(self, mut sink: impl FnMut(u64)) {
         self.extractor.feed_with(self.chunk, |g| sink(g.value()));
-    }
-
-    /// Block-native override: the blocked extractor already produces packed
-    /// 8-lane gram blocks, so they flow to the bank's vector probe without
-    /// any repacking; warm-up bytes and tails shorter than a block arrive
-    /// on the scalar `key` path. Packed grams are at most `spec.bits()`
-    /// wide and the classifier builds its hash family at exactly that input
-    /// width, so block lanes never exceed `key_mask`.
-    #[inline]
-    fn for_each_key_block(self, key_mask: u64, sink: &mut impl KeyBlockSink) {
-        struct Adapter<'s, S: KeyBlockSink> {
-            sink: &'s mut S,
-            key_mask: u64,
-        }
-        impl<S: KeyBlockSink> GramBlockSink for Adapter<'_, S> {
-            #[inline]
-            fn block(&mut self, grams: &[u32; lc_ngram::BLOCK_LANES]) {
-                self.sink.block(grams);
-            }
-            #[inline]
-            fn gram(&mut self, gram: NGram) {
-                self.sink.key(gram.value() & self.key_mask);
-            }
-        }
-        self.extractor
-            .feed_blocks(self.chunk, &mut Adapter { sink, key_mask });
     }
 }
 

@@ -1,5 +1,5 @@
-//! H3 matrix hash: construction, byte-sliced evaluation, and the bit-serial
-//! reference evaluator.
+//! H3 matrix hash: construction, byte-sliced evaluation, the packed-word
+//! k-way family table, and the bit-serial reference evaluator.
 
 use crate::{HashFunction, MAX_INPUT_BITS, MAX_OUTPUT_BITS};
 use rand::rngs::SmallRng;
@@ -132,12 +132,6 @@ impl H3 {
         &self.rows
     }
 
-    /// The byte-sliced lookup tables (one 256-entry table per input byte).
-    /// Crate-internal: the SIMD evaluator re-lays these out for gathers.
-    pub(crate) fn tables(&self) -> &[[u32; 256]] {
-        &self.tables
-    }
-
     #[inline]
     fn key_mask(&self) -> u64 {
         if self.input_bits == 64 {
@@ -176,28 +170,32 @@ impl HashFunction for H3 {
 /// trees. Each Bloom filter instance (one per language) gets its own family,
 /// seeded deterministically so classification runs are reproducible.
 ///
-/// Besides the per-function evaluators the family keeps a **fused** table
-/// layout: the `k` byte-sliced tables interleaved so that all `k` entries for
-/// one input byte value sit in one contiguous run. [`Self::hash_all_into`]
-/// walks the key's bytes **once**, XOR-folding `k` accumulators per byte —
-/// the software image of the hardware's `k` XOR trees all fed by the same
-/// n-gram register in the same cycle — instead of re-walking the key per
-/// function.
+/// Besides the per-function evaluators the family keeps one **packed**
+/// table for k-way evaluation. Entry `(byte_idx, value)` is
+/// `ceil(k · S / 64)` `u64` words that hold the `k` functions' byte-sliced
+/// entries as `S`-bit fields: function `i` sits in word `i / (64 / S)` at
+/// bit `S · (i % (64 / S))`. `S` is 16 when `output_bits ≤ 16` (vectors up
+/// to 64 Kbit, every configuration in the paper: one word for `k ≤ 4`, two
+/// for `k ≤ 8`) and 32 otherwise. XOR never carries across bits, so one
+/// word-wide XOR per key byte folds every field of the word at once — the
+/// software image of the hardware's `k` XOR trees all fed by the same
+/// n-gram register in the same cycle.
 ///
-/// The fused table is built lazily on first k-way evaluation: every
+/// The packed table is built lazily on first k-way evaluation: every
 /// per-language filter in a classifier carries an identically-seeded family,
-/// but only the filter bank's copy runs the fused hot path, so eager
-/// construction would duplicate the table `p` times for nothing.
+/// but only the filter bank's copy runs the hot path, so eager construction
+/// would duplicate the table `p` times for nothing.
 #[derive(Clone, Debug)]
 pub struct H3Family {
     functions: Vec<H3>,
-    /// Interleaved tables, built on first use:
-    /// `fused[(byte_idx * 256 + byte_value) * k + i]` is
-    /// `functions[i].tables[byte_idx][byte_value]`.
-    fused: std::sync::OnceLock<Vec<u32>>,
+    /// The packed table, built on first use: word `w` of entry
+    /// `(byte_idx, v)` is `packed[(byte_idx * 256 + v) * words + w]`.
+    packed: std::sync::OnceLock<Vec<u64>>,
     /// Number of key bytes covered (`ceil(input_bits / 8)`).
     n_bytes: usize,
     key_mask: u64,
+    /// Field width `S` of the packed table: 16 or 32 bits.
+    field_bits: usize,
 }
 
 impl H3Family {
@@ -219,28 +217,36 @@ impl H3Family {
     fn from_functions(functions: Vec<H3>) -> Self {
         let n_bytes = (functions[0].input_bits().div_ceil(8)) as usize;
         let key_mask = functions[0].key_mask();
+        let field_bits = if functions[0].output_bits() <= 16 {
+            16
+        } else {
+            32
+        };
         Self {
             functions,
-            fused: std::sync::OnceLock::new(),
+            packed: std::sync::OnceLock::new(),
             n_bytes,
             key_mask,
+            field_bits,
         }
     }
 
-    /// The interleaved fused table, built on first use.
+    /// The packed table, built on first use.
     #[inline]
-    fn fused(&self) -> &[u32] {
-        self.fused.get_or_init(|| {
-            let k = self.functions.len();
-            let mut fused = vec![0u32; self.n_bytes * 256 * k];
+    fn packed(&self) -> &[u64] {
+        self.packed.get_or_init(|| {
+            let per_word = 64 / self.field_bits;
+            let words = self.k().div_ceil(per_word);
+            let mut packed = vec![0u64; self.n_bytes * 256 * words];
             for (i, f) in self.functions.iter().enumerate() {
+                let (w, shift) = (i / per_word, self.field_bits * (i % per_word));
                 for (byte_idx, table) in f.tables.iter().enumerate() {
                     for (v, &entry) in table.iter().enumerate() {
-                        fused[(byte_idx * 256 + v) * k + i] = entry;
+                        packed[(byte_idx * 256 + v) * words + w] |= u64::from(entry) << shift;
                     }
                 }
             }
-            fused
+            packed
         })
     }
 
@@ -264,10 +270,10 @@ impl H3Family {
         &self.functions
     }
 
-    /// Evaluate all `k` functions on `key` in one fused pass over the key's
+    /// Evaluate all `k` functions on `key` in one pass over the key's
     /// bytes, writing addresses into `out`. Bit-exact with calling
-    /// [`Self::hash_one`] `k` times, but touches each input byte once and
-    /// reads its `k` table entries from one contiguous run.
+    /// [`Self::hash_one`] `k` times, but touches each input byte once per
+    /// packed word instead of once per function.
     ///
     /// # Panics
     ///
@@ -291,33 +297,21 @@ impl H3Family {
         self.functions[i].hash(key)
     }
 
-    /// Fused evaluation with the family size `K` known at compile time.
-    /// Convenience wrapper over [`Self::fused_evaluator`]; batch loops
-    /// should hold the evaluator instead so the lazy-init check runs once
-    /// per batch, not per key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `K != self.k()`.
-    #[inline]
-    pub fn hash_all_array<const K: usize>(&self, key: u64) -> [u32; K] {
-        self.fused_evaluator().hash_all_array::<K>(key)
-    }
-
-    /// Resolve the (lazily built) fused table into a view that evaluates
+    /// Resolve the (lazily built) packed table into a view that evaluates
     /// keys with no per-call initialization check — the handle hot loops
     /// hold for a whole batch.
     #[inline]
     pub fn fused_evaluator(&self) -> FusedEvaluator<'_> {
         FusedEvaluator {
-            fused: self.fused(),
+            packed: self.packed(),
             n_bytes: self.n_bytes,
             key_mask: self.key_mask,
+            field_bits: self.field_bits,
             k: self.functions.len(),
         }
     }
 
-    /// Resolve the fused table into a **compile-time-`K`** view: the
+    /// Resolve the packed table into a **compile-time-`K`** view: the
     /// `K == k` check runs once here instead of on every key, so a fused
     /// extraction→probe loop evaluates all `K` hashes of a raw `u64`
     /// shift-register state with zero per-key setup or assertions.
@@ -329,21 +323,23 @@ impl H3Family {
     pub fn fused_evaluator_k<const K: usize>(&self) -> FusedEvaluatorK<'_, K> {
         assert_eq!(K, self.functions.len(), "const K must equal the family k");
         FusedEvaluatorK {
-            fused: self.fused(),
+            packed: self.packed(),
             n_bytes: self.n_bytes,
             key_mask: self.key_mask,
+            field_bits: self.field_bits,
         }
     }
 }
 
-/// A resolved view of a family's fused tables: evaluates all `k` functions
+/// A resolved view of a family's packed table: evaluates all `k` functions
 /// per key with zero per-call setup. Obtained from
 /// [`H3Family::fused_evaluator`]; borrows the family.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedEvaluator<'a> {
-    fused: &'a [u32],
+    packed: &'a [u64],
     n_bytes: usize,
     key_mask: u64,
+    field_bits: usize,
     k: usize,
 }
 
@@ -353,31 +349,9 @@ impl FusedEvaluator<'_> {
         self.k
     }
 
-    /// Fused evaluation with `K` fixed at compile time, so the per-byte XOR
-    /// fold fully unrolls (for the paper's `k = 4` the four accumulators fit
-    /// one SIMD register). Bit-exact with evaluating each family member
-    /// independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `K != self.k()`.
-    #[inline]
-    pub fn hash_all_array<const K: usize>(&self, key: u64) -> [u32; K] {
-        assert_eq!(K, self.k);
-        let mut acc = [0u32; K];
-        let key = key & self.key_mask;
-        for byte_idx in 0..self.n_bytes {
-            let byte = ((key >> (8 * byte_idx)) & 0xFF) as usize;
-            let base = (byte_idx * 256 + byte) * K;
-            let entries = &self.fused[base..base + K];
-            for i in 0..K {
-                acc[i] ^= entries[i];
-            }
-        }
-        acc
-    }
-
-    /// Fused evaluation with runtime `k`, writing addresses into `out`.
+    /// Evaluation with runtime `k`, writing addresses into `out`: one
+    /// packed word at a time, XOR-folded over the key's bytes and then
+    /// split into its fields.
     ///
     /// # Panics
     ///
@@ -385,28 +359,35 @@ impl FusedEvaluator<'_> {
     #[inline]
     pub fn hash_all_into(&self, key: u64, out: &mut [u32]) {
         assert_eq!(out.len(), self.k);
-        out.fill(0);
         let key = key & self.key_mask;
-        for byte_idx in 0..self.n_bytes {
-            let byte = ((key >> (8 * byte_idx)) & 0xFF) as usize;
-            let base = (byte_idx * 256 + byte) * self.k;
-            for (acc, &entry) in out.iter_mut().zip(&self.fused[base..base + self.k]) {
-                *acc ^= entry;
+        let per_word = 64 / self.field_bits;
+        let words = self.k.div_ceil(per_word);
+        let field_mask = u32::MAX >> (32 - self.field_bits);
+        for (w, fields) in out.chunks_mut(per_word).enumerate() {
+            let mut acc = 0u64;
+            for byte_idx in 0..self.n_bytes {
+                let v = (key >> (8 * byte_idx)) as u8 as usize;
+                acc ^= self.packed[(byte_idx * 256 + v) * words + w];
+            }
+            for (f, addr) in fields.iter_mut().enumerate() {
+                *addr = (acc >> (self.field_bits * f)) as u32 & field_mask;
             }
         }
     }
 }
 
-/// A resolved fused-table view with the family size fixed at compile time.
-/// Unlike [`FusedEvaluator::hash_all_array`], [`Self::hash_all_array`] has
-/// no per-key `K == k` assertion — the check happened once in
-/// [`H3Family::fused_evaluator_k`] — so a caller that folds input bytes and
-/// probes per emitted key keeps the whole evaluation branch-free.
+/// A resolved packed-table view with the family size fixed at compile
+/// time. [`Self::hash_all_array`] has no per-key `K == k` assertion — the
+/// check happened once in [`H3Family::fused_evaluator_k`] — so a caller
+/// that folds input bytes and probes per emitted key keeps the whole
+/// evaluation branch-free. The AVX2 evaluator ([`crate::simd::hash8`])
+/// gathers from the same table.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedEvaluatorK<'a, const K: usize> {
-    fused: &'a [u32],
-    n_bytes: usize,
-    key_mask: u64,
+    pub(crate) packed: &'a [u64],
+    pub(crate) n_bytes: usize,
+    pub(crate) key_mask: u64,
+    pub(crate) field_bits: usize,
 }
 
 impl<const K: usize> FusedEvaluatorK<'_, K> {
@@ -414,17 +395,32 @@ impl<const K: usize> FusedEvaluatorK<'_, K> {
     /// its bytes. Bit-exact with [`H3Family::hash_all_into`].
     #[inline]
     pub fn hash_all_array(&self, key: u64) -> [u32; K] {
-        let mut acc = [0u32; K];
+        // Branch on the field width outside the byte loop, so the word
+        // count inside it is a constant of (K, S) and the fold unrolls.
+        if self.field_bits == 16 {
+            self.fold::<16>(key)
+        } else {
+            self.fold::<32>(key)
+        }
+    }
+
+    #[inline]
+    fn fold<const S: usize>(&self, key: u64) -> [u32; K] {
+        let per_word = 64 / S;
+        let words = K.div_ceil(per_word);
         let key = key & self.key_mask;
+        // At most K words per entry, so K accumulators always suffice.
+        let mut acc = [0u64; K];
         for byte_idx in 0..self.n_bytes {
-            let byte = ((key >> (8 * byte_idx)) & 0xFF) as usize;
-            let base = (byte_idx * 256 + byte) * K;
-            let entries = &self.fused[base..base + K];
-            for i in 0..K {
-                acc[i] ^= entries[i];
+            let v = (key >> (8 * byte_idx)) as u8 as usize;
+            let entry = &self.packed[(byte_idx * 256 + v) * words..][..words];
+            for (a, &e) in acc.iter_mut().zip(entry) {
+                *a ^= e;
             }
         }
-        acc
+        std::array::from_fn(|i| {
+            (acc[i / per_word] >> (S * (i % per_word))) as u32 & (u32::MAX >> (32 - S))
+        })
     }
 }
 
@@ -442,7 +438,7 @@ impl Eq for H3 {}
 
 impl PartialEq for H3Family {
     /// Families are equal iff they hold the same functions in the same order
-    /// (the fused tables are derived data).
+    /// (the packed table is derived data).
     fn eq(&self, other: &Self) -> bool {
         self.functions == other.functions
     }
@@ -571,12 +567,14 @@ mod tests {
             prop_assert!(h.hash(key) < (1u32 << d));
         }
 
-        /// The fused k-way evaluation must be bit-exact with evaluating each
-        /// family member independently, for every (k, width, key).
+        /// The packed k-way evaluation must be bit-exact with evaluating each
+        /// family member independently, for every (k, width, key): k spans
+        /// the word-count boundaries (4/5 and 8/9 at 16-bit fields) and
+        /// output_bits the field-width switch between 16 and 17.
         #[test]
         fn fused_family_matches_per_function(
             seed in any::<u64>(), key in any::<u64>(),
-            k in 1usize..=8, input_bits in 1u32..=64, output_bits in 1u32..=32,
+            k in 1usize..=10, input_bits in 1u32..=64, output_bits in 1u32..=32,
         ) {
             let fam = H3Family::new(k, input_bits, output_bits, seed);
             let mut fused = vec![0u32; k];
@@ -586,18 +584,26 @@ mod tests {
             }
         }
 
-        /// The compile-time-K view agrees with the runtime evaluator for
-        /// every width and key (spot K = 4, the paper's configuration).
+        /// The compile-time-K view agrees with the per-function tables for
+        /// every width and key, at K on both sides of each word boundary.
         #[test]
         fn const_k_evaluator_matches_runtime(
             seed in any::<u64>(), key in any::<u64>(),
             input_bits in 1u32..=64, output_bits in 1u32..=32,
         ) {
-            let fam = H3Family::new(4, input_bits, output_bits, seed);
-            let a = fam.fused_evaluator_k::<4>().hash_all_array(key);
-            let mut b = vec![0u32; 4];
-            fam.hash_all_into(key, &mut b);
-            prop_assert_eq!(a.to_vec(), b);
+            fn check<const K: usize>(fam: &H3Family, key: u64) -> Result<(), TestCaseError> {
+                let got = fam.fused_evaluator_k::<K>().hash_all_array(key);
+                for (i, &v) in got.iter().enumerate() {
+                    prop_assert_eq!(v, fam.hash_one(i, key), "K={} fn={}", K, i);
+                }
+                Ok(())
+            }
+            let fam = |k| H3Family::new(k, input_bits, output_bits, seed);
+            check::<1>(&fam(1), key)?;
+            check::<4>(&fam(4), key)?;
+            check::<5>(&fam(5), key)?;
+            check::<6>(&fam(6), key)?;
+            check::<8>(&fam(8), key)?;
         }
     }
 }

@@ -22,7 +22,9 @@
 //!   bit-serial reference evaluator ([`H3::hash_bitserial`]) used to
 //!   cross-check the tables in tests,
 //! * [`H3Family`] — `k` independent H3 functions drawn deterministically from
-//!   a seed (the paper programs one such family per Bloom filter),
+//!   a seed (the paper programs one such family per Bloom filter), with one
+//!   packed-word table from which the scalar evaluators and the AVX2
+//!   [`simd::hash8`] compute all `k` addresses in one pass over the key,
 //! * [`MultiplicativeHash`] — a classic Knuth multiplicative hash used as an
 //!   ablation baseline (software-friendly, *not* hardware friendly),
 //! * [`HashFunction`] — the trait both implement.
@@ -41,7 +43,7 @@ pub mod simd;
 
 pub use h3::{FusedEvaluator, FusedEvaluatorK, H3Family, H3};
 pub use mult::MultiplicativeHash;
-pub use simd::{SimdLevel, TransposedTables};
+pub use simd::SimdLevel;
 
 /// A hash function from `u64` keys to bit-vector addresses in `[0, 1 << out_bits)`.
 ///

@@ -1,14 +1,15 @@
 //! Runtime SIMD dispatch and the AVX2 8-lane H3 evaluator.
 //!
-//! The scalar hot path ([`crate::FusedEvaluatorK`]) folds one key at a time:
-//! per input byte, one contiguous load of the `k` interleaved table entries.
-//! The AVX2 evaluator inverts the layout — [`TransposedTables`] stores each
-//! function's per-byte table as its own 256-entry run — so eight keys hash
-//! in lock-step: per `(function, byte)` pair one `vpgatherdd` pulls the
-//! eight table rows selected by the eight lane bytes, and the XOR fold runs
-//! across all lanes in registers. That is the software image of the paper's
-//! XOR-tree fan-out: the hardware evaluates `k` hashes of one gram per
-//! cycle, the vector unit evaluates `k` hashes of **eight** grams per
+//! Both evaluators read the family's one packed table (see
+//! [`crate::H3Family`]): per key byte and value, `u64` words holding the
+//! `k` functions' entries as 16- or 32-bit fields. The scalar hot path
+//! ([`crate::FusedEvaluatorK`]) folds one key at a time, one word-wide XOR
+//! per (byte, word). [`hash8`] folds eight keys in lock-step: per
+//! (byte, word) two `vpgatherqq` pull the eight keys' words, the XOR fold
+//! runs in registers, and a shuffle transposes the 16-bit fields into one
+//! 8-lane address vector per function. That is the software image of the
+//! paper's XOR-tree fan-out: the hardware evaluates `k` hashes of one gram
+//! per cycle, the vector unit evaluates `k` hashes of **eight** grams per
 //! iteration.
 //!
 //! Dispatch is decided once per classifier via [`SimdLevel::detect`]
@@ -83,82 +84,12 @@ impl fmt::Display for SimdLevel {
     }
 }
 
-/// A family's byte-sliced tables re-laid for 8-lane gathers:
-/// `data[(i * n_bytes + byte_idx) * 256 + v]` is function `i`'s table entry
-/// for byte `byte_idx` at value `v` — each `(function, byte)` table is one
-/// contiguous 256-entry run, so the gathered index **is** the lane's byte
-/// value. (The scalar fused layout interleaves the `k` entries per value
-/// instead, which is right for one key and wrong for eight.)
-#[derive(Clone, Debug)]
-pub struct TransposedTables {
-    data: Vec<u32>,
-    k: usize,
-    n_bytes: usize,
-    key_mask: u64,
-}
-
-impl TransposedTables {
-    /// Number of hash functions `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Key bytes covered (`ceil(input_bits / 8)`).
-    pub fn n_bytes(&self) -> usize {
-        self.n_bytes
-    }
-
-    /// Mask selecting the family's `input_bits` low key bits.
-    pub fn key_mask(&self) -> u64 {
-        self.key_mask
-    }
-
-    /// Whether the AVX2 evaluator can run this family: the 8 lanes hold
-    /// `u32` keys and the const-`K` dispatch stops at 8 functions.
-    pub fn avx2_eligible(&self) -> bool {
-        self.key_mask <= u64::from(u32::MAX) && (1..=8).contains(&self.k)
-    }
-
-    /// Scalar reference evaluation straight off the transposed layout
-    /// (tests pin it against the interleaved evaluators).
-    pub fn hash_all_into(&self, key: u64, out: &mut [u32]) {
-        assert_eq!(out.len(), self.k);
-        let key = key & self.key_mask;
-        for (i, acc) in out.iter_mut().enumerate() {
-            *acc = 0;
-            for byte_idx in 0..self.n_bytes {
-                let v = ((key >> (8 * byte_idx)) & 0xFF) as usize;
-                *acc ^= self.data[(i * self.n_bytes + byte_idx) * 256 + v];
-            }
-        }
-    }
-}
-
 impl H3Family {
-    /// Build the gather-friendly transposed table image of this family.
-    /// An owned copy (~`k × n_bytes` KiB): banks build it once per
-    /// classifier, next to their own probe-slice copies.
-    pub fn transposed_tables(&self) -> TransposedTables {
-        let k = self.k();
-        let n_bytes = self.input_bits().div_ceil(8) as usize;
-        let mut data = vec![0u32; k * n_bytes * 256];
-        for (i, f) in self.functions().iter().enumerate() {
-            for (byte_idx, table) in f.tables().iter().enumerate() {
-                let base = (i * n_bytes + byte_idx) * 256;
-                data[base..base + 256].copy_from_slice(table);
-            }
-        }
-        let key_mask = if self.input_bits() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.input_bits()) - 1
-        };
-        TransposedTables {
-            data,
-            k,
-            n_bytes,
-            key_mask,
-        }
+    /// Whether [`hash8`] can evaluate this family: keys fit the eight
+    /// `u32` lanes (`input_bits ≤ 32`) and the packed fields are 16 bits
+    /// wide (`output_bits ≤ 16`, vectors up to 64 Kbit).
+    pub fn avx2_eligible(&self) -> bool {
+        self.input_bits() <= 32 && self.output_bits() <= 16
     }
 }
 
@@ -167,44 +98,93 @@ pub use avx2::hash8;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::TransposedTables;
+    use crate::FusedEvaluatorK;
     use core::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_i32gather_epi32, _mm256_set1_epi32, _mm256_setzero_si256,
-        _mm256_srl_epi32, _mm256_xor_si256, _mm_cvtsi32_si128,
+        __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_cvtepu16_epi32,
+        _mm256_extracti128_si256, _mm256_i32gather_epi64, _mm256_mullo_epi32,
+        _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srl_epi32, _mm256_unpackhi_epi64,
+        _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_cvtsi32_si128,
     };
 
     /// Evaluate all `K` functions on 8 keys at once: returns `K` vectors of
     /// 8 addresses (lane `j` of vector `i` is `functions[i](keys[j])`).
-    /// Bit-exact with eight scalar [`crate::FusedEvaluatorK`] evaluations.
+    /// Bit-exact with eight scalar [`FusedEvaluatorK`] evaluations when
+    /// the family is [`crate::H3Family::avx2_eligible`]; on any other
+    /// family every read still stays inside the packed table, but the
+    /// addresses are wrong.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (callers hold a dispatch decision made via
-    /// [`super::SimdLevel`]/`is_x86_feature_detected!`). `K` must equal
-    /// `t.k()` and `t` must be AVX2-eligible ([`TransposedTables::avx2_eligible`]).
+    /// [`super::SimdLevel`]/`is_x86_feature_detected!`).
     #[target_feature(enable = "avx2")]
-    pub fn hash8<const K: usize>(t: &TransposedTables, keys: __m256i) -> [__m256i; K] {
-        debug_assert_eq!(K, t.k);
-        debug_assert!(t.avx2_eligible());
+    pub fn hash8<const K: usize>(eval: &FusedEvaluatorK<'_, K>, keys: __m256i) -> [__m256i; K] {
+        debug_assert!(eval.field_bits == 16 && eval.key_mask <= u64::from(u32::MAX));
+        // Four 16-bit fields per word.
+        let words = K.div_ceil(4);
         // Keys are ≤ 32 bits by eligibility, so masking in u32 lanes is exact.
-        let keys = _mm256_and_si256(keys, _mm256_set1_epi32(t.key_mask as u32 as i32));
+        let keys = _mm256_and_si256(keys, _mm256_set1_epi32(eval.key_mask as u32 as i32));
         let byte_mask = _mm256_set1_epi32(0xFF);
-        let mut acc = [_mm256_setzero_si256(); K];
-        for byte_idx in 0..t.n_bytes {
+        // Per word: keys 0..4 in `lo`, keys 4..8 in `hi`, one u64 lane each.
+        let mut lo = [_mm256_setzero_si256(); K];
+        let mut hi = [_mm256_setzero_si256(); K];
+        for byte_idx in 0..eval.n_bytes {
             let shift = _mm_cvtsi32_si128((8 * byte_idx) as i32);
             let bytes = _mm256_and_si256(_mm256_srl_epi32(keys, shift), byte_mask);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let base = (i * t.n_bytes + byte_idx) * 256;
-                // safety: every lane of `bytes` is masked to 0..=255 and
-                // `data[base..base + 256]` is in bounds by construction, so
-                // all eight gathered dwords read inside `t.data`.
-                let rows = unsafe {
-                    _mm256_i32gather_epi32::<4>(t.data.as_ptr().add(base).cast::<i32>(), bytes)
+            let idx = _mm256_mullo_epi32(bytes, _mm256_set1_epi32(words as i32));
+            for w in 0..words {
+                let run = &eval.packed[byte_idx * 256 * words + w..];
+                // safety: each idx lane is byte · words with byte ≤ 255, so
+                // the read at run[idx] is word w of entry (byte_idx, byte),
+                // inside the table: a 16-bit-field table has exactly
+                // `words` words per entry and a 32-bit one more, and
+                // byte_idx < n_bytes, the table's byte count.
+                let (l, h) = unsafe {
+                    (
+                        _mm256_i32gather_epi64::<8>(
+                            run.as_ptr().cast(),
+                            _mm256_castsi256_si128(idx),
+                        ),
+                        _mm256_i32gather_epi64::<8>(
+                            run.as_ptr().cast(),
+                            _mm256_extracti128_si256::<1>(idx),
+                        ),
+                    )
                 };
-                *a = _mm256_xor_si256(*a, rows);
+                lo[w] = _mm256_xor_si256(lo[w], l);
+                hi[w] = _mm256_xor_si256(hi[w], h);
             }
         }
-        acc
+        // Transpose each word's 8 × 4 u16 fields into 4 vectors of 8 u32
+        // addresses. Within each 128-bit lane, gather field f of both keys
+        // into dword f; then interleave the lanes so qword f holds field f
+        // of four keys.
+        let pair_fields = _mm256_setr_epi8(
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15, //
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15,
+        );
+        let quad_fields = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let mut out = [_mm256_setzero_si256(); K];
+        for w in 0..words {
+            let l =
+                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(lo[w], pair_fields), quad_fields);
+            let h =
+                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(hi[w], pair_fields), quad_fields);
+            // f02 holds field 0 of the eight keys in its low half and field
+            // 2 in its high half; f13 fields 1 and 3.
+            let (f02, f13) = (_mm256_unpacklo_epi64(l, h), _mm256_unpackhi_epi64(l, h));
+            let fields = [
+                _mm256_castsi256_si128(f02),
+                _mm256_castsi256_si128(f13),
+                _mm256_extracti128_si256::<1>(f02),
+                _mm256_extracti128_si256::<1>(f13),
+            ];
+            for (o, &f) in out[4 * w..].iter_mut().zip(&fields) {
+                *o = _mm256_cvtepu16_epi32(f);
+            }
+        }
+        out
     }
 }
 
@@ -223,32 +203,16 @@ mod tests {
     }
 
     #[test]
-    fn transposed_matches_interleaved_evaluators() {
-        for (k, input_bits, output_bits, seed) in [
-            (4usize, 20u32, 14u32, 1u64),
-            (1, 8, 4, 2),
-            (8, 32, 12, 3),
-            (6, 30, 10, 4),
-        ] {
-            let fam = H3Family::new(k, input_bits, output_bits, seed);
-            let t = fam.transposed_tables();
-            assert!(t.avx2_eligible());
-            let mut via_t = vec![0u32; k];
-            let mut via_fused = vec![0u32; k];
-            for key in [0u64, 1, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x1234_5678] {
-                t.hash_all_into(key, &mut via_t);
-                fam.hash_all_into(key, &mut via_fused);
-                assert_eq!(via_t, via_fused, "k={k} b={input_bits} key={key:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_or_deep_families_are_not_avx2_eligible() {
-        let wide = H3Family::new(4, 40, 14, 1).transposed_tables();
-        assert!(!wide.avx2_eligible(), "keys above u32 need the scalar path");
-        let deep = H3Family::new(9, 20, 14, 1).transposed_tables();
-        assert!(!deep.avx2_eligible(), "k > 8 is outside the const-K table");
+    fn wide_families_are_not_avx2_eligible() {
+        assert!(H3Family::new(4, 32, 16, 1).avx2_eligible());
+        assert!(
+            !H3Family::new(4, 40, 14, 1).avx2_eligible(),
+            "keys above u32 need the scalar path"
+        );
+        assert!(
+            !H3Family::new(4, 20, 17, 1).avx2_eligible(),
+            "32-bit fields (m > 64 Kbit) need the scalar path"
+        );
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -258,9 +222,18 @@ mod tests {
         if !SimdLevel::cpu_has_avx2() {
             return;
         }
-        for (k, input_bits, seed) in [(4usize, 20u32, 7u64), (1, 5, 8), (8, 32, 9), (3, 17, 10)] {
-            let fam = H3Family::new(k, input_bits, 14.min(input_bits), seed);
-            let t = fam.transposed_tables();
+        // (k, input_bits, output_bits): one- and two-word entries, the
+        // paper's compact two-word shape (k = 6, m = 4 Kbit) and the
+        // widest 16-bit field.
+        for (k, input_bits, output_bits, seed) in [
+            (4usize, 20u32, 14u32, 7u64),
+            (1, 5, 5, 8),
+            (8, 32, 14, 9),
+            (3, 17, 14, 10),
+            (6, 20, 12, 11),
+            (4, 20, 16, 12),
+        ] {
+            let fam = H3Family::new(k, input_bits, output_bits, seed);
             let keys: [u32; 8] = std::array::from_fn(|j| {
                 0x9E37_79B9u32
                     .wrapping_mul(j as u32 + 1)
@@ -273,7 +246,7 @@ mod tests {
                 let mut out = [[0u32; 8]; 8];
                 macro_rules! run {
                     ($kk:literal) => {{
-                        let vecs = hash8::<$kk>(&t, kv);
+                        let vecs = hash8::<$kk>(&fam.fused_evaluator_k::<$kk>(), kv);
                         for (i, v) in vecs.iter().enumerate() {
                             _mm256_storeu_si256(out[i].as_mut_ptr().cast(), *v);
                         }
@@ -283,16 +256,16 @@ mod tests {
                     1 => run!(1),
                     3 => run!(3),
                     4 => run!(4),
+                    6 => run!(6),
                     8 => run!(8),
                     _ => unreachable!(),
                 }
                 out
             };
-            let mut expect = vec![0u32; k];
             for (j, &key) in keys.iter().enumerate() {
-                fam.hash_all_into(u64::from(key), &mut expect);
                 for i in 0..k {
-                    assert_eq!(got[i][j], expect[i], "k={k} fn={i} lane={j}");
+                    let expect = fam.hash_one(i, u64::from(key));
+                    assert_eq!(got[i][j], expect, "k={k} d={output_bits} fn={i} lane={j}");
                 }
             }
         }

@@ -21,22 +21,6 @@
 
 use crate::alphabet::fold_byte;
 use crate::ngram::{NGram, NGramSpec};
-use crate::simd::{self, BLOCK_BUF, BLOCK_LANES};
-
-/// Receiver for [`StreamingExtractor::feed_blocks`]: grams arrive either as
-/// full blocks of [`BLOCK_LANES`] consecutive packed values (oldest first,
-/// each already masked to the spec's width) or as singles for the stretches
-/// a block cannot cover — warm-up remainders, sub-sampled streams, tails
-/// shorter than a block, and specs wider than a `u32` lane. Concatenating
-/// blocks and singles in call order reproduces [`StreamingExtractor::feed_with`]
-/// exactly; consumers whose per-gram effect commutes (Bloom count
-/// accumulation) are free to process blocks out of band.
-pub trait GramBlockSink {
-    /// A full block of [`BLOCK_LANES`] consecutive grams.
-    fn block(&mut self, grams: &[u32; BLOCK_LANES]);
-    /// A single gram (the scalar edges of the stream).
-    fn gram(&mut self, gram: NGram);
-}
 
 /// Whole-buffer sliding-window extractor.
 #[derive(Clone, Copy, Debug)]
@@ -199,63 +183,6 @@ impl StreamingExtractor {
                 }
             }
         }
-    }
-
-    /// Feed a chunk, handing grams to `sink` in blocks of [`BLOCK_LANES`]
-    /// where possible — the vector-friendly twin of [`Self::feed_with`],
-    /// emitting the identical gram sequence for any chunking.
-    ///
-    /// Blocking applies only to the paper's primary shape (`n ≤ 6`, so a
-    /// gram fits a 32-bit lane, and no sub-sampling); anything else falls
-    /// back to the scalar loop, delivered through [`GramBlockSink::gram`].
-    /// Warm-up bytes, chunk joins, and tails shorter than a block are
-    /// handled scalar too, so `KeySource` semantics are unchanged.
-    #[inline]
-    pub fn feed_blocks(&mut self, chunk: &[u8], sink: &mut impl GramBlockSink) {
-        let n = self.spec.n();
-        if n > 6 || self.subsample != 1 {
-            self.feed_with(chunk, |g| sink.gram(g));
-            return;
-        }
-        let mask = self.spec.mask();
-        let mut rest = chunk;
-        // Warm up scalar, exactly like feed_with: the first n-1 characters
-        // of a document emit nothing.
-        while self.chars_seen + 1 < n {
-            let Some((&b, tail)) = rest.split_first() else {
-                return;
-            };
-            self.state = ((self.state << 5) | u64::from(fold_byte(b))) & mask;
-            self.chars_seen += 1;
-            rest = tail;
-        }
-        self.chars_seen += rest.len();
-        let use_avx2 = simd::avx2_enabled();
-        let mut state = self.state;
-        let mut buf = [0u8; BLOCK_BUF];
-        let mut out = [0u32; BLOCK_LANES];
-        let mut blocks = rest.chunks_exact(BLOCK_LANES);
-        for block in &mut blocks {
-            // The n-1 carried codes live in the state's low bits (most
-            // recent at distance 0); lay them oldest-first before the
-            // block's fresh codes so lane j's window is buf[j..j + n].
-            for d in 0..n - 1 {
-                buf[n - 2 - d] = ((state >> (5 * d)) & 31) as u8;
-            }
-            for (c, &b) in buf[n - 1..n - 1 + BLOCK_LANES].iter_mut().zip(block) {
-                *c = fold_byte(b);
-            }
-            simd::assemble_block(&buf, n, mask as u32, &mut out, use_avx2);
-            // The last lane holds the newest n codes — exactly the shift
-            // register after consuming the block (mask is 5n bits).
-            state = u64::from(out[BLOCK_LANES - 1]);
-            sink.block(&out);
-        }
-        for &b in blocks.remainder() {
-            state = ((state << 5) | u64::from(fold_byte(b))) & mask;
-            sink.gram(NGram(state));
-        }
-        self.state = state;
     }
 
     /// Feed a chunk, appending produced n-grams to `out` (not cleared).
@@ -455,50 +382,6 @@ mod tests {
             }
             prop_assert_eq!(sunk, reference);
             prop_assert_eq!(ex.chars_seen(), text.len());
-        }
-
-        /// The blocked feed emits the identical gram sequence to the scalar
-        /// feed for any input, any chunking (splits straddle both 8-lane
-        /// blocks and n-gram windows), every blockable and unblockable n,
-        /// and every sub-sampling factor — on whichever assembly path this
-        /// machine dispatches to.
-        #[test]
-        fn feed_blocks_matches_feed_with(
-            text in proptest::collection::vec(any::<u8>(), 0..300),
-            cuts in proptest::collection::vec(0usize..300, 0..10),
-            n in 1usize..=8,
-            s in 1usize..=4,
-        ) {
-            struct Collect(Vec<NGram>);
-            impl GramBlockSink for Collect {
-                fn block(&mut self, grams: &[u32; BLOCK_LANES]) {
-                    self.0.extend(grams.iter().map(|&g| NGram(u64::from(g))));
-                }
-                fn gram(&mut self, gram: NGram) {
-                    self.0.push(gram);
-                }
-            }
-
-            let spec = NGramSpec::new(n);
-            let mut expected = Vec::new();
-            let mut scalar = StreamingExtractor::with_subsampling(spec, s);
-            scalar.feed_with(&text, |g| expected.push(g));
-
-            let mut cut_points: Vec<usize> =
-                cuts.into_iter().map(|c| c % (text.len() + 1)).collect();
-            cut_points.push(0);
-            cut_points.push(text.len());
-            cut_points.sort_unstable();
-            cut_points.dedup();
-
-            let mut sunk = Collect(Vec::new());
-            let mut ex = StreamingExtractor::with_subsampling(spec, s);
-            for w in cut_points.windows(2) {
-                ex.feed_blocks(&text[w[0]..w[1]], &mut sunk);
-            }
-            prop_assert_eq!(sunk.0, expected);
-            prop_assert_eq!(ex.chars_seen(), text.len());
-            prop_assert_eq!(ex.grams_emitted(), scalar.grams_emitted());
         }
 
         /// Every produced gram fits in the spec's bit width.

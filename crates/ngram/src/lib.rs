@@ -23,21 +23,17 @@
 //! * [`unicode`] — the paper's §3.3 extension to 16-bit Unicode: wide folded
 //!   symbols, 64-bit packed 4-grams, and extraction over `char` streams.
 
-// deny (not forbid) so the dedicated `simd` module can opt back in for its
-// AVX2 intrinsics; everything else in the crate stays compiler-enforced safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;
 pub mod extract;
 pub mod ngram;
 pub mod profile;
-pub mod simd;
 pub mod unicode;
 
 pub use alphabet::{fold_byte, fold_char, is_letter_code, FoldedChar, ALPHABET_SIZE, SPACE_CODE};
-pub use extract::{GramBlockSink, NGramExtractor, StreamingExtractor};
+pub use extract::{NGramExtractor, StreamingExtractor};
 pub use ngram::{NGram, NGramSpec};
 pub use profile::{NGramCounter, NGramProfile, RankedProfile};
-pub use simd::BLOCK_LANES;
 pub use unicode::{WideExtractor, WideNGramSpec};

@@ -309,6 +309,16 @@ fn dispatch_selects_the_vector_path_where_one_exists() {
             assert_eq!(bank.simd_level(), expected, "p={p} k={k}");
         }
     }
+    // m = 128 Kbit needs 17 address bits, past the 16-bit packed H3 fields
+    // the vector hash reads: scalar even where AVX2 exists.
+    let filters: Vec<ParallelBloomFilter> = (0..8)
+        .map(|_| ParallelBloomFilter::new(BloomParams::new(4, 17), NGramSpec::PAPER.bits(), 99))
+        .collect();
+    assert_eq!(
+        FilterBank::from_filters(&filters).simd_level(),
+        SimdLevel::Scalar,
+        "m = 128 Kbit"
+    );
     for p in [1usize, 8, 12, 20, 32, 64, 100] {
         let expected = if vector && p <= 64 {
             SimdLevel::Avx2

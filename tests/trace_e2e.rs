@@ -11,7 +11,7 @@ use lcbloom::service::{
     SPAN_FAULT, SPAN_SAMPLED,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn classifier() -> Arc<MultiLanguageClassifier> {
     static CLASSIFIER: std::sync::OnceLock<Arc<MultiLanguageClassifier>> =
@@ -43,6 +43,17 @@ fn test_docs() -> Vec<Vec<u8>> {
 
 fn start(config: ServiceConfig) -> lcbloom::service::ServerHandle {
     serve(classifier(), "127.0.0.1:0", config).expect("bind localhost")
+}
+
+/// Poll the server's history ring (`dump` copies it, so polling drains
+/// nothing) until the sampler has cut `more` slots past this call, for up
+/// to 5 s. The caller's assertions report a sampler that never got there.
+fn wait_for_history_slots(server: &lcbloom::service::ServerHandle, more: usize) {
+    let want = server.history().dump().len() + more;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.history().dump().len() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -204,8 +215,9 @@ fn history_ring_carries_server_computed_rates() {
     for doc in docs.iter().take(sent) {
         client.classify(doc).expect("classify");
     }
-    // Let the sampler cut at least two slots past the traffic.
-    std::thread::sleep(Duration::from_millis(250));
+    // Let the sampler cut at least two slots past the traffic: the first
+    // may have read its counters before the last document was counted.
+    wait_for_history_slots(&server, 2);
 
     let snap = client.stats(2).expect("stats detail=2");
     assert!(
@@ -246,7 +258,7 @@ fn detail_at_most_one_stays_clean_for_v1_decoders() {
     for doc in docs.iter().take(3) {
         client.classify(doc).expect("classify");
     }
-    std::thread::sleep(Duration::from_millis(120));
+    wait_for_history_slots(&server, 1);
 
     for detail in [0u8, 1] {
         let snap = client.stats(detail).expect("low-detail stats");
