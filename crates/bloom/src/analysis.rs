@@ -34,14 +34,10 @@ pub fn expected_occupancy(n_programmed: usize, params: BloomParams) -> f64 {
 /// parallel model. Unlike the classic filter (optimum `k = (m/N) ln 2`), in
 /// the parallel model each extra hash adds a whole new vector, so `f` is
 /// strictly decreasing in `k`; this helper instead reports the smallest `k`
-/// achieving a target rate, or `None` if `max_k` is insufficient.
-pub fn min_k_for_target(
-    n_programmed: usize,
-    address_bits: u32,
-    target: f64,
-    max_k: usize,
-) -> Option<usize> {
-    (1..=max_k)
+/// achieving a target rate, or `None` if even [`BloomParams::MAX_K`] is
+/// insufficient.
+pub fn min_k_for_target(n_programmed: usize, address_bits: u32, target: f64) -> Option<usize> {
+    (1..=BloomParams::MAX_K)
         .find(|&k| false_positive_rate(n_programmed, BloomParams::new(k, address_bits)) <= target)
 }
 
@@ -123,9 +119,9 @@ mod tests {
     fn min_k_for_target_finds_paper_compact() {
         // At m = 4 Kbit and N = 5000, the paper uses k = 6 to get back to
         // ≥99% accuracy; the model's FP at k=6 is ~0.123. Ask for that rate.
-        let k = min_k_for_target(5000, 12, 0.125, 8);
+        let k = min_k_for_target(5000, 12, 0.125);
         assert_eq!(k, Some(6));
         // An unreachable target yields None.
-        assert_eq!(min_k_for_target(5000, 12, 1e-9, 8), None);
+        assert_eq!(min_k_for_target(5000, 12, 1e-9), None);
     }
 }

@@ -28,8 +28,11 @@
 //!
 //! A membership test of one n-gram against all `p` languages becomes:
 //!
-//! 1. compute the `k` addresses once (fused H3 evaluation),
-//! 2. load `k` masks — one contiguous load per hash function,
+//! 1. compute the `k` addresses once (fused H3 evaluation, with `k` fixed
+//!    at compile time — [`BloomParams::MAX_K`] caps it — so one loop shape
+//!    serves every bank),
+//! 2. load `k` masks — one contiguous load per hash function and mask
+//!    word,
 //! 3. AND-reduce them (languages whose every per-hash bit was set survive),
 //! 4. count the surviving languages. For `p ≤ 32` each mask byte indexes
 //!    [`SPREAD8`], and one 64-bit add bumps eight packed byte counters at
@@ -84,7 +87,7 @@ impl<I: IntoIterator<Item = u64>> KeySource for I {
 
 /// A mask storage element: the bit-sliced arrays hold language masks at the
 /// narrowest width that fits `p`.
-pub(crate) trait MaskWord: Copy + PartialEq + BitAnd<Output = Self> {
+pub(crate) trait MaskWord: Copy + BitAnd<Output = Self> {
     /// Bits per element.
     const BITS: usize;
     /// All-zero element.
@@ -201,13 +204,6 @@ impl<'a, W: MaskWord> Tally<'a, W> {
         }
     }
 
-    /// Count one key's single-word match mask.
-    #[inline]
-    pub(crate) fn add(&mut self, mask: W) {
-        self.count(0, mask.to_u64());
-        self.tick(1);
-    }
-
     fn flush(&mut self) {
         for (j, c) in self.counts.iter_mut().enumerate() {
             *c += (self.packed[j / 8] >> (8 * (j % 8))) & 0xFF;
@@ -224,42 +220,26 @@ impl<'a, W: MaskWord> Tally<'a, W> {
     }
 }
 
-/// Hash `key` and AND-reduce its `K` single-word masks: the one probe step
-/// of the scalar loop and of the AVX2 path's leftover keys.
+/// Hash `key`, AND-reduce its `K` masks of `wpm` words each, and count
+/// them: the one probe step of the scalar loop and of the AVX2 path's
+/// leftover keys. Word `w` of the mask at address `a` is `row[a · wpm + w]`.
 #[inline]
 pub(crate) fn probe<const K: usize, W: MaskWord>(
     eval: &FusedEvaluatorK<'_, K>,
     rows: &[&[W]; K],
+    wpm: usize,
     key: u64,
-) -> W {
+    tally: &mut Tally<'_, W>,
+) {
     let addrs = eval.hash_all_array(key);
-    let mut mask = rows[0][addrs[0] as usize];
-    for i in 1..K {
-        mask = mask & rows[i][addrs[i] as usize];
-    }
-    mask
-}
-
-/// AND-reduce the `k` per-hash masks at `addrs` into `mask` (one element
-/// per mask word); returns whether any language survived.
-#[inline]
-fn and_reduce<W: MaskWord>(slices: &[Box<[W]>], addrs: &[u32], mask: &mut [W]) -> bool {
-    let wpm = mask.len();
-    let base = addrs[0] as usize * wpm;
-    mask.copy_from_slice(&slices[0][base..base + wpm]);
-    let mut alive = mask.iter().any(|&w| w != W::ZERO);
-    for (i, &addr) in addrs.iter().enumerate().skip(1) {
-        if !alive {
-            break;
+    for w in 0..wpm {
+        let mut mask = rows[0][addrs[0] as usize * wpm + w];
+        for i in 1..K {
+            mask = mask & rows[i][addrs[i] as usize * wpm + w];
         }
-        let base = addr as usize * wpm;
-        alive = false;
-        for (m, &s) in mask.iter_mut().zip(&slices[i][base..base + wpm]) {
-            *m = *m & s;
-            alive |= *m != W::ZERO;
-        }
+        tally.count(w, mask.to_u64());
     }
-    alive
+    tally.tick(1);
 }
 
 /// Width-specialized bit-sliced arrays (one per hash function).
@@ -428,22 +408,16 @@ impl FilterBank {
     }
 
     /// Match mask for one key: word `w`, bit `b` set iff language `64w + b`
-    /// matches. Convenience wrapper (allocates); hot paths use
-    /// [`Self::accumulate_keys`].
+    /// matches. Convenience wrapper (allocates, and probes the one key
+    /// through [`Self::accumulate_keys`], which hot paths call directly).
     pub fn match_mask(&self, key: u64) -> Vec<u64> {
-        match &self.slices {
-            MaskSlices::W8(s) => self.match_mask_in(s, key),
-            MaskSlices::W16(s) => self.match_mask_in(s, key),
-            MaskSlices::W32(s) => self.match_mask_in(s, key),
-            MaskSlices::W64(s) => self.match_mask_in(s, key),
+        let mut counts = vec![0u64; self.languages];
+        self.accumulate_keys([key], &mut counts);
+        let mut mask = vec![0u64; self.words_per_mask];
+        for (j, &c) in counts.iter().enumerate() {
+            mask[j / 64] |= c << (j % 64);
         }
-    }
-
-    fn match_mask_in<W: MaskWord>(&self, slices: &[Box<[W]>], key: u64) -> Vec<u64> {
-        let addrs = self.hashes.hash_all(key);
-        let mut mask = vec![W::ZERO; self.words_per_mask];
-        and_reduce(slices, &addrs, &mut mask);
-        mask.into_iter().map(MaskWord::to_u64).collect()
+        mask
     }
 
     /// Test one key against every language, returning matching indices.
@@ -476,10 +450,10 @@ impl FilterBank {
     /// The fused probe entry: drain `src` through the bank, incrementing
     /// `counts[j]` for each key matching language `j`. Dispatches **once**
     /// per batch to a loop monomorphized over the mask width
-    /// (u8/u16/u32/u64) and, for single-word masks with `k ≤ 8`, the
-    /// compile-time `k` — the source's per-key state machine (e.g. the
-    /// n-gram shift register) inlines into that loop, so extraction and
-    /// probe fuse into one pass with no intermediate key buffer.
+    /// (u8/u16/u32/u64) and the compile-time `k` — the source's per-key
+    /// state machine (e.g. the n-gram shift register) inlines into that
+    /// loop, so extraction and probe fuse into one pass with no
+    /// intermediate key buffer.
     ///
     /// # Panics
     ///
@@ -500,17 +474,14 @@ impl FilterBank {
 
     /// Dispatch once per batch to a loop with `k` fixed at compile time:
     /// the fused hash unrolls and the `k` mask loads issue back-to-back
-    /// with no loop-carried control flow. Multi-word masks and `k > 8`
-    /// take the runtime-`k` loop (identical results).
+    /// with no loop-carried control flow. [`BloomParams::new`] caps `k` at
+    /// [`BloomParams::MAX_K`], so every bank has an arm.
     fn accumulate_width<W: MaskWord, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
         src: S,
         counts: &mut [u64],
     ) {
-        if self.words_per_mask > 1 {
-            return self.accumulate_runtime_k(slices, src, counts);
-        }
         match self.params.k {
             1 => self.accumulate_k::<1, W, S>(slices, src, counts),
             2 => self.accumulate_k::<2, W, S>(slices, src, counts),
@@ -520,12 +491,13 @@ impl FilterBank {
             6 => self.accumulate_k::<6, W, S>(slices, src, counts),
             7 => self.accumulate_k::<7, W, S>(slices, src, counts),
             8 => self.accumulate_k::<8, W, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
+            k => unreachable!("k = {k} exceeds BloomParams::MAX_K"),
         }
     }
 
-    /// Single-word masks with compile-time `K`: the AVX2 engine when one
-    /// was built, else the scalar loop.
+    /// The probe loop with compile-time `K`: the AVX2 engine when one was
+    /// built, else the scalar loop over `words_per_mask` words per mask
+    /// (a constant 1 below `u64` rows).
     fn accumulate_k<const K: usize, W: MaskWord, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
@@ -541,31 +513,13 @@ impl FilterBank {
         if let Some(engine) = &self.simd {
             return engine.accumulate(&rows, eval, src, counts);
         }
+        let wpm = if W::BITS == 64 {
+            self.words_per_mask
+        } else {
+            1
+        };
         let mut tally = Tally::<W>::new(counts);
-        src.for_each_key(|key| tally.add(probe(&eval, &rows, key)));
-        tally.finish();
-    }
-
-    /// Runtime `k`, any number of words per mask.
-    fn accumulate_runtime_k<W: MaskWord, S: KeySource>(
-        &self,
-        slices: &[Box<[W]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let mut addrs = vec![0u32; self.params.k];
-        let mut mask = vec![W::ZERO; self.words_per_mask];
-        let hashes = self.hashes.fused_evaluator();
-        let mut tally = Tally::<W>::new(counts);
-        src.for_each_key(|key| {
-            hashes.hash_all_into(key, &mut addrs);
-            if and_reduce(slices, &addrs, &mut mask) {
-                for (w, &word) in mask.iter().enumerate() {
-                    tally.count(w, word.to_u64());
-                }
-                tally.tick(1);
-            }
-        });
+        src.for_each_key(|key| probe(&eval, &rows, wpm, key, &mut tally));
         tally.finish();
     }
 }
@@ -646,10 +600,6 @@ mod tests {
         let (_, wide) = bank_fixture(65, BloomParams::from_kbits(4, 2), 10, 2);
         assert_eq!(wide.words_per_mask(), 2);
         assert_eq!(wide.mask_entry_bits(), 128);
-
-        // The width depends on p alone, also beyond the const-k dispatch.
-        let (_, k9) = bank_fixture(8, BloomParams::from_kbits(4, 9), 5, 2);
-        assert_eq!(k9.mask_entry_bits(), 8);
     }
 
     #[test]
@@ -744,11 +694,12 @@ mod tests {
         /// Banked accumulation must equal the naive per-language loop on
         /// both probe paths for any p — every mask width (u8/u16/u32/u64)
         /// and the multi-word boundary (p > 64) — every k (each const-k
-        /// arm and the runtime-k loop), both packed H3 field widths, any
-        /// key set, and any query set.
+        /// arm, so each runs multi-word masks too), both packed H3 field
+        /// widths, any key set, and any query set.
         #[test]
         fn banked_counts_equal_naive(
-            p in prop_p(), k in 1usize..=10, seed in any::<u64>(), wide_m in any::<bool>(),
+            p in prop_p(), k in 1usize..=BloomParams::MAX_K, seed in any::<u64>(),
+            wide_m in any::<bool>(),
             queries in proptest::collection::vec(any::<u64>(), 0..200),
         ) {
             // Small vectors (m = 256) so collisions and partial matches are

@@ -29,13 +29,23 @@ impl BloomParams {
         address_bits: 12,
     };
 
+    /// The largest supported `k`. Every configuration in the paper has
+    /// `k ≤ 6`; the cap lets [`crate::FilterBank`] run one compile-time-`k`
+    /// probe loop for every bank.
+    pub const MAX_K: usize = 8;
+
     /// Create parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `address_bits` is outside `1..=32`.
+    /// Panics if `k` is outside `1..=MAX_K` or `address_bits` is outside
+    /// `1..=32`.
     pub fn new(k: usize, address_bits: u32) -> Self {
-        assert!(k >= 1, "k must be at least 1");
+        assert!(
+            (1..=Self::MAX_K).contains(&k),
+            "k must be in 1..={}",
+            Self::MAX_K
+        );
         assert!(
             (1..=32).contains(&address_bits),
             "address_bits must be in 1..=32"
@@ -48,7 +58,8 @@ impl BloomParams {
     ///
     /// # Panics
     ///
-    /// Panics if `m_kbits` is not a power of two or is zero.
+    /// Panics if `m_kbits` is not a power of two or is zero, or if `k` is
+    /// outside `1..=MAX_K`.
     pub fn from_kbits(m_kbits: usize, k: usize) -> Self {
         assert!(m_kbits.is_power_of_two(), "m must be a power of two Kbits");
         let address_bits = (m_kbits * 1024).trailing_zeros();
@@ -145,9 +156,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be at least 1")]
+    #[should_panic(expected = "k must be in 1..=8")]
     fn zero_k_rejected() {
         let _ = BloomParams::new(0, 14);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be in 1..=8")]
+    fn k_above_max_rejected() {
+        let _ = BloomParams::new(9, 14);
     }
 
     #[test]

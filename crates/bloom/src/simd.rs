@@ -6,9 +6,9 @@
 //! [`Avx2Probe`] is the vector twin of the scalar const-`K` loop in
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
-//! has a vector fast path: `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits and
-//! `m ≤ 64 Kbit`. The engine packs the key stream into 8-key blocks, the
-//! packed-word H3 evaluator ([`lc_hash::simd::hash8`], the same table the
+//! has a vector fast path: `p ≤ 64`, keys ≤ 32 bits and `m ≤ 64 Kbit`.
+//! The engine packs the key stream into 8-key blocks, the packed-word H3
+//! evaluator ([`lc_hash::simd::hash8`], the same table the
 //! scalar loop reads) produces 8 addresses per hash function, one
 //! `vpgatherdd`/`vpgatherqq` per function pulls the 8 language masks
 //! straight from the bank's rows, and the AND-reduce across `k` runs in
@@ -16,8 +16,8 @@
 //! Counting and leftover keys go through the same [`crate::bank::Tally`]
 //! and [`crate::bank::probe`] as the scalar loop.
 //!
-//! Anything else (`p > 64` multi-word masks, k > 8, keys wider than 32
-//! bits, m > 64 Kbit) keeps the scalar loops, and
+//! Anything else (`p > 64` multi-word masks, keys wider than 32 bits,
+//! m > 64 Kbit) keeps the scalar const-`K` loop, and
 //! [`crate::FilterBank::simd_level`] honestly reports `scalar`. A 256-bit
 //! AND-reduce over the multi-word masks was tried and did not beat the
 //! scalar multi-word loop.
@@ -74,8 +74,8 @@ mod x86 {
     /// Keys per block: one AVX2 register of 32-bit keys.
     const LANES: usize = 8;
 
-    /// The per-classifier AVX2 probe engine (`p ≤ 64`, `k ≤ 8`, ≤ 32-bit
-    /// keys, m ≤ 64 Kbit): the blocked 8-lane pipeline. See the
+    /// The per-classifier AVX2 probe engine (`p ≤ 64`, ≤ 32-bit keys,
+    /// m ≤ 64 Kbit): the blocked 8-lane pipeline. See the
     /// [module docs](super).
     #[derive(Clone, Debug)]
     pub(crate) struct Avx2Probe {
@@ -87,8 +87,7 @@ mod x86 {
         /// Build the engine for `bank`'s shape, or `None` when the CPU has
         /// no AVX2 or the shape has no vector fast path.
         pub(crate) fn build(bank: &crate::FilterBank) -> Option<Self> {
-            let shape =
-                bank.words_per_mask() == 1 && bank.params().k <= 8 && bank.hashes().avx2_eligible();
+            let shape = bank.words_per_mask() == 1 && bank.hashes().avx2_eligible();
             (SimdLevel::cpu_has_avx2() && shape).then(|| Self {
                 m: bank.params().m_bits(),
             })
@@ -134,7 +133,7 @@ mod x86 {
                 }
             });
             for &key in &block[..filled] {
-                sink.tally.add(probe(&sink.eval, rows, u64::from(key)));
+                probe(&sink.eval, rows, 1, u64::from(key), &mut sink.tally);
             }
             sink.tally.finish();
         }

@@ -170,8 +170,12 @@ impl HashFunction for H3 {
 /// trees. Each Bloom filter instance (one per language) gets its own family,
 /// seeded deterministically so classification runs are reproducible.
 ///
-/// Besides the per-function evaluators the family keeps one **packed**
-/// table for k-way evaluation. Entry `(byte_idx, value)` is
+/// Besides the per-function evaluators (which [`Self::hash_one`] and
+/// [`Self::hash_all_into`] read, the reference for everything else) the
+/// family keeps one **packed** table for k-way evaluation, with one
+/// reader: the compile-time-`K` view from [`Self::fused_evaluator_k`],
+/// which the scalar evaluator and the AVX2 [`crate::simd::hash8`] share.
+/// Entry `(byte_idx, value)` is
 /// `ceil(k · S / 64)` `u64` words that hold the `k` functions' byte-sliced
 /// entries as `S`-bit fields: function `i` sits in word `i / (64 / S)` at
 /// bit `S · (i % (64 / S))`. `S` is 16 when `output_bits ≤ 16` (vectors up
@@ -181,7 +185,8 @@ impl HashFunction for H3 {
 /// software image of the hardware's `k` XOR trees all fed by the same
 /// n-gram register in the same cycle.
 ///
-/// The packed table is built lazily on first k-way evaluation: every
+/// The packed table is built lazily by the first
+/// [`Self::fused_evaluator_k`] call: every
 /// per-language filter in a classifier carries an identically-seeded family,
 /// but only the filter bank's copy runs the hot path, so eager construction
 /// would duplicate the table `p` times for nothing.
@@ -231,25 +236,6 @@ impl H3Family {
         }
     }
 
-    /// The packed table, built on first use.
-    #[inline]
-    fn packed(&self) -> &[u64] {
-        self.packed.get_or_init(|| {
-            let per_word = 64 / self.field_bits;
-            let words = self.k().div_ceil(per_word);
-            let mut packed = vec![0u64; self.n_bytes * 256 * words];
-            for (i, f) in self.functions.iter().enumerate() {
-                let (w, shift) = (i / per_word, self.field_bits * (i % per_word));
-                for (byte_idx, table) in f.tables.iter().enumerate() {
-                    for (v, &entry) in table.iter().enumerate() {
-                        packed[(byte_idx * 256 + v) * words + w] |= u64::from(entry) << shift;
-                    }
-                }
-            }
-            packed
-        })
-    }
-
     /// Number of hash functions `k`.
     pub fn k(&self) -> usize {
         self.functions.len()
@@ -270,17 +256,20 @@ impl H3Family {
         &self.functions
     }
 
-    /// Evaluate all `k` functions on `key` in one pass over the key's
-    /// bytes, writing addresses into `out`. Bit-exact with calling
-    /// [`Self::hash_one`] `k` times, but touches each input byte once per
-    /// packed word instead of once per function.
+    /// Evaluate all `k` functions on `key`, writing addresses into `out`:
+    /// [`Self::hash_one`] per function, straight from the per-function
+    /// tables. This is the reference the packed evaluators are checked
+    /// against, so it never reads the packed table.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.k()`.
     #[inline]
     pub fn hash_all_into(&self, key: u64, out: &mut [u32]) {
-        self.fused_evaluator().hash_all_into(key, out);
+        assert_eq!(out.len(), self.k());
+        for (addr, f) in out.iter_mut().zip(&self.functions) {
+            *addr = f.hash(key);
+        }
     }
 
     /// Evaluate all `k` functions, allocating the result vector. Convenience
@@ -297,24 +286,11 @@ impl H3Family {
         self.functions[i].hash(key)
     }
 
-    /// Resolve the (lazily built) packed table into a view that evaluates
-    /// keys with no per-call initialization check — the handle hot loops
-    /// hold for a whole batch.
-    #[inline]
-    pub fn fused_evaluator(&self) -> FusedEvaluator<'_> {
-        FusedEvaluator {
-            packed: self.packed(),
-            n_bytes: self.n_bytes,
-            key_mask: self.key_mask,
-            field_bits: self.field_bits,
-            k: self.functions.len(),
-        }
-    }
-
-    /// Resolve the packed table into a **compile-time-`K`** view: the
-    /// `K == k` check runs once here instead of on every key, so a fused
-    /// extraction→probe loop evaluates all `K` hashes of a raw `u64`
-    /// shift-register state with zero per-key setup or assertions.
+    /// Resolve the packed table (building it on first use) into a
+    /// **compile-time-`K`** view: the `K == k` check runs once here instead
+    /// of on every key, so a fused extraction→probe loop evaluates all `K`
+    /// hashes of a raw `u64` shift-register state with zero per-key setup
+    /// or assertions.
     ///
     /// # Panics
     ///
@@ -322,56 +298,25 @@ impl H3Family {
     #[inline]
     pub fn fused_evaluator_k<const K: usize>(&self) -> FusedEvaluatorK<'_, K> {
         assert_eq!(K, self.functions.len(), "const K must equal the family k");
+        let packed = self.packed.get_or_init(|| {
+            let per_word = 64 / self.field_bits;
+            let words = K.div_ceil(per_word);
+            let mut packed = vec![0u64; self.n_bytes * 256 * words];
+            for (i, f) in self.functions.iter().enumerate() {
+                let (w, shift) = (i / per_word, self.field_bits * (i % per_word));
+                for (byte_idx, table) in f.tables.iter().enumerate() {
+                    for (v, &entry) in table.iter().enumerate() {
+                        packed[(byte_idx * 256 + v) * words + w] |= u64::from(entry) << shift;
+                    }
+                }
+            }
+            packed
+        });
         FusedEvaluatorK {
-            packed: self.packed(),
+            packed,
             n_bytes: self.n_bytes,
             key_mask: self.key_mask,
             field_bits: self.field_bits,
-        }
-    }
-}
-
-/// A resolved view of a family's packed table: evaluates all `k` functions
-/// per key with zero per-call setup. Obtained from
-/// [`H3Family::fused_evaluator`]; borrows the family.
-#[derive(Clone, Copy, Debug)]
-pub struct FusedEvaluator<'a> {
-    packed: &'a [u64],
-    n_bytes: usize,
-    key_mask: u64,
-    field_bits: usize,
-    k: usize,
-}
-
-impl FusedEvaluator<'_> {
-    /// Number of hash functions `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Evaluation with runtime `k`, writing addresses into `out`: one
-    /// packed word at a time, XOR-folded over the key's bytes and then
-    /// split into its fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.k()`.
-    #[inline]
-    pub fn hash_all_into(&self, key: u64, out: &mut [u32]) {
-        assert_eq!(out.len(), self.k);
-        let key = key & self.key_mask;
-        let per_word = 64 / self.field_bits;
-        let words = self.k.div_ceil(per_word);
-        let field_mask = u32::MAX >> (32 - self.field_bits);
-        for (w, fields) in out.chunks_mut(per_word).enumerate() {
-            let mut acc = 0u64;
-            for byte_idx in 0..self.n_bytes {
-                let v = (key >> (8 * byte_idx)) as u8 as usize;
-                acc ^= self.packed[(byte_idx * 256 + v) * words + w];
-            }
-            for (f, addr) in fields.iter_mut().enumerate() {
-                *addr = (acc >> (self.field_bits * f)) as u32 & field_mask;
-            }
         }
     }
 }
@@ -527,16 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_all_into_matches_hash_one() {
-        let fam = H3Family::new(6, 20, 12, 5);
-        let mut out = vec![0u32; 6];
-        fam.hash_all_into(0xFACE, &mut out);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, fam.hash_one(i, 0xFACE));
-        }
-    }
-
-    #[test]
     fn output_range_respected_at_32_bits() {
         let h = H3::new(64, 32, 3);
         // No masking panic at the u32 boundary.
@@ -567,27 +502,14 @@ mod tests {
             prop_assert!(h.hash(key) < (1u32 << d));
         }
 
-        /// The packed k-way evaluation must be bit-exact with evaluating each
-        /// family member independently, for every (k, width, key): k spans
-        /// the word-count boundaries (4/5 and 8/9 at 16-bit fields) and
-        /// output_bits the field-width switch between 16 and 17.
+        /// The packed table, read through the compile-time-K view, is
+        /// bit-exact with the per-function tables for every K the bank
+        /// accepts, every width and every key. K covers each word boundary
+        /// of the packed entries (4/5 at 16-bit fields; 2/3, 4/5 and 6/7 at
+        /// 32-bit fields), and output_bits spans the field-width switch
+        /// between 16 and 17.
         #[test]
-        fn fused_family_matches_per_function(
-            seed in any::<u64>(), key in any::<u64>(),
-            k in 1usize..=10, input_bits in 1u32..=64, output_bits in 1u32..=32,
-        ) {
-            let fam = H3Family::new(k, input_bits, output_bits, seed);
-            let mut fused = vec![0u32; k];
-            fam.hash_all_into(key, &mut fused);
-            for (i, &v) in fused.iter().enumerate() {
-                prop_assert_eq!(v, fam.hash_one(i, key));
-            }
-        }
-
-        /// The compile-time-K view agrees with the per-function tables for
-        /// every width and key, at K on both sides of each word boundary.
-        #[test]
-        fn const_k_evaluator_matches_runtime(
+        fn packed_evaluator_matches_per_function_tables(
             seed in any::<u64>(), key in any::<u64>(),
             input_bits in 1u32..=64, output_bits in 1u32..=32,
         ) {
@@ -600,9 +522,12 @@ mod tests {
             }
             let fam = |k| H3Family::new(k, input_bits, output_bits, seed);
             check::<1>(&fam(1), key)?;
+            check::<2>(&fam(2), key)?;
+            check::<3>(&fam(3), key)?;
             check::<4>(&fam(4), key)?;
             check::<5>(&fam(5), key)?;
             check::<6>(&fam(6), key)?;
+            check::<7>(&fam(7), key)?;
             check::<8>(&fam(8), key)?;
         }
     }

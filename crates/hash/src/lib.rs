@@ -23,8 +23,9 @@
 //!   cross-check the tables in tests,
 //! * [`H3Family`] — `k` independent H3 functions drawn deterministically from
 //!   a seed (the paper programs one such family per Bloom filter), with one
-//!   packed-word table from which the scalar evaluators and the AVX2
-//!   [`simd::hash8`] compute all `k` addresses in one pass over the key,
+//!   packed-word table from which the compile-time-`k` scalar evaluator
+//!   ([`FusedEvaluatorK`]) and the AVX2 [`simd::hash8`] compute all `k`
+//!   addresses in one pass over the key,
 //! * [`MultiplicativeHash`] — a classic Knuth multiplicative hash used as an
 //!   ablation baseline (software-friendly, *not* hardware friendly),
 //! * [`HashFunction`] — the trait both implement.
@@ -41,7 +42,7 @@ mod h3;
 mod mult;
 pub mod simd;
 
-pub use h3::{FusedEvaluator, FusedEvaluatorK, H3Family, H3};
+pub use h3::{FusedEvaluatorK, H3Family, H3};
 pub use mult::MultiplicativeHash;
 pub use simd::SimdLevel;
 

@@ -263,9 +263,9 @@ mod tests {
                 out
             };
             for (j, &key) in keys.iter().enumerate() {
-                for i in 0..k {
+                for (i, lanes) in got[..k].iter().enumerate() {
                     let expect = fam.hash_one(i, u64::from(key));
-                    assert_eq!(got[i][j], expect, "k={k} d={output_bits} fn={i} lane={j}");
+                    assert_eq!(lanes[j], expect, "k={k} d={output_bits} fn={i} lane={j}");
                 }
             }
         }

@@ -285,7 +285,7 @@ fn load_classifier(
     if s == 0 {
         return Err("--subsample must be >= 1".into());
     }
-    let params = BloomParams::from_kbits(m, k);
+    let params = bloom_params(m, k)?;
     let mut classifier =
         MultiLanguageClassifier::from_profiles(store.profiles(), NGramSpec::PAPER, params, 42);
     // Propagates everywhere: whole-buffer classify, chunked stdin
@@ -295,6 +295,28 @@ fn load_classifier(
         classifier.set_force_scalar(true);
     }
     Ok((store, classifier))
+}
+
+/// Largest `--m`: the vector address (`log2(m · 1024)` bits) must fit the
+/// 32-bit H3 output.
+const MAX_M_KBITS: usize = 1 << 22;
+
+/// Check `--m` (Kbits per vector) and `--k` where they enter, so an
+/// out-of-range value is an error naming the flag, not a panic inside
+/// [`BloomParams`].
+fn bloom_params(m: usize, k: usize) -> Result<BloomParams, String> {
+    if !m.is_power_of_two() || m > MAX_M_KBITS {
+        return Err(format!(
+            "--m must be a power of two in 1..={MAX_M_KBITS} (Kbits), got {m}"
+        ));
+    }
+    if !(1..=BloomParams::MAX_K).contains(&k) {
+        return Err(format!(
+            "--k must be in 1..={}, got {k}",
+            BloomParams::MAX_K
+        ));
+    }
+    Ok(BloomParams::from_kbits(m, k))
 }
 
 /// Chunk size for streaming classification: memory use stays constant no
@@ -1099,4 +1121,28 @@ fn cmd_demo() -> Result<(), String> {
         println!("  \"{sample}\" -> {}", classifier.identify(&latin1));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bloom_params_rejects_out_of_range_flags() {
+        assert_eq!(bloom_params(16, 4), Ok(BloomParams::PAPER_CONSERVATIVE));
+        assert_eq!(
+            bloom_params(MAX_M_KBITS, BloomParams::MAX_K),
+            Ok(BloomParams::new(BloomParams::MAX_K, 32))
+        );
+        for (m, k, flag) in [
+            (12, 4, "--m"),
+            (0, 4, "--m"),
+            (2 * MAX_M_KBITS, 4, "--m"),
+            (16, 0, "--k"),
+            (16, BloomParams::MAX_K + 1, "--k"),
+        ] {
+            let err = bloom_params(m, k).unwrap_err();
+            assert!(err.starts_with(flag), "m={m} k={k}: {err}");
+        }
+    }
 }

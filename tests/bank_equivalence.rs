@@ -281,11 +281,11 @@ fn bank_shape_reflects_language_count() {
 }
 
 /// Dispatch really selects the vector engine wherever it has one: with AVX2
-/// detected (and `LC_FORCE_SCALAR` unset), every `p ≤ 64`, `k ≤ 8` bank
-/// reports `Avx2`, while multi-word (`p > 64`) and `k > 8` banks report
-/// `Scalar`. Under `LC_FORCE_SCALAR=1` every bank reports `Scalar`. A
-/// regression that silently drops the vector path fails here rather than
-/// only showing up as a slower benchmark.
+/// detected (and `LC_FORCE_SCALAR` unset), every `p ≤ 64` bank reports
+/// `Avx2` at every `k`, while multi-word (`p > 64`) banks report `Scalar`.
+/// Under `LC_FORCE_SCALAR=1` every bank reports `Scalar`. A regression
+/// that silently drops the vector path fails here rather than only
+/// showing up as a slower benchmark.
 #[test]
 fn dispatch_selects_the_vector_path_where_one_exists() {
     use lcbloom::bloom::{FilterBank, ParallelBloomFilter, SimdLevel};
@@ -294,13 +294,13 @@ fn dispatch_selects_the_vector_path_where_one_exists() {
     if SimdLevel::force_scalar_requested() {
         assert!(!vector, "LC_FORCE_SCALAR must pin scalar dispatch");
     }
-    for k in 1..=9 {
+    for k in 1..=BloomParams::MAX_K {
         let params = BloomParams::from_kbits(1, k);
         for p in [1usize, 8, 12, 20, 32, 33, 64, 65, 100] {
             let filters: Vec<ParallelBloomFilter> = (0..p)
                 .map(|_| ParallelBloomFilter::new(params, NGramSpec::PAPER.bits(), 99))
                 .collect();
-            let expected = if vector && p <= 64 && k <= 8 {
+            let expected = if vector && p <= 64 {
                 SimdLevel::Avx2
             } else {
                 SimdLevel::Scalar
