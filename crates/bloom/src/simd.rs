@@ -7,7 +7,8 @@
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
 //! has a vector fast path: `p ≤ 64`, keys ≤ 32 bits and `m ≤ 64 Kbit`.
-//! The engine packs the key stream into 8-key blocks, the packed-word H3
+//! The engine stages the key stream 64 keys at a time (see
+//! [Staging](#staging)) and probes it in 8-key blocks: the packed-word H3
 //! evaluator ([`lc_hash::simd::hash8`], the same table the
 //! scalar loop reads) produces 8 addresses per hash function, one
 //! `vpgatherdd`/`vpgatherqq` per function pulls the 8 language masks
@@ -22,11 +23,35 @@
 //! AND-reduce over the multi-word masks was tried and did not beat the
 //! scalar multi-word loop.
 //!
+//! # Staging
+//!
+//! The scalar shift register writes keys to memory one at a time, and the
+//! vector stage reads them back 8 at a time. Handing over each 8-key block
+//! in its own out-of-line AVX2 call was slow: the call's first 32-byte
+//! load of the block cannot be store-forwarded from the eight 4-byte
+//! stores that just wrote it, so it waits for them to commit, and the
+//! counter state round-trips through memory on every call. Consecutive
+//! blocks then ran one after another instead of overlapping. So keys are
+//! staged in a 64-key buffer, like the paper's buffer between the DMA
+//! words and the n-gram stage, and each full buffer goes to one AVX2
+//! call that runs its 8 blocks back to back with the block probe inlined.
+//! At the end of a call, the partial buffer's whole blocks take one more
+//! vector call and the fewer than 8 keys left take the scalar probe.
+//!
+//! Both halves matter. On a 2-core AVX2 host, the `inproc-paper8`
+//! benchmark workload classified at 124 / 121 MB/s unstaged (two seeds,
+//! 6 s each). A 64-key buffer that still called AVX2 once per block read
+//! 123 / 126, and a batch of one 8-key block per call read 124 / 123;
+//! both together read 186 / 174. Batch size matters less once the call
+//! is per batch: 16, 32, 64 and 256 keys read 150 / 143, 169 / 148,
+//! 178 / 160 and 170 / 176 in another pair of runs, so 64 it is.
+//!
 //! # Equivalence
 //!
 //! Every path here is pinned against the scalar loops (and the naive
 //! per-language filters) by `tests/bank_equivalence.rs` proptests across
-//! all mask widths, tails not divisible by 8, and arbitrary chunkings.
+//! all mask widths, tails not divisible by 8, every length through two
+//! full batches plus a partial one, and arbitrary chunkings.
 
 #![allow(unsafe_code)]
 
@@ -74,6 +99,10 @@ mod x86 {
     /// Keys per block: one AVX2 register of 32-bit keys.
     const LANES: usize = 8;
 
+    /// Keys staged per call into the vector stage (eight blocks); see the
+    /// [module docs](super#staging) for why they are staged at all.
+    const BATCH: usize = 64;
+
     /// The per-classifier AVX2 probe engine (`p ≤ 64`, ≤ 32-bit keys,
     /// m ≤ 64 Kbit): the blocked 8-lane pipeline. See the
     /// [module docs](super).
@@ -94,8 +123,11 @@ mod x86 {
         }
 
         /// Drain `src` through the 8-lane pipeline, gathering from the
-        /// bank's `rows`: keys are packed into blocks of [`LANES`], and the
-        /// fewer than [`LANES`] left at the end take the scalar probe.
+        /// bank's `rows`: keys are staged [`BATCH`] at a time and each full
+        /// batch goes to the vector stage in one call. At the end, the
+        /// partial batch's whole [`LANES`]-key blocks take one more vector
+        /// call and the fewer than [`LANES`] keys left take the scalar
+        /// probe.
         ///
         /// # Panics
         ///
@@ -118,21 +150,24 @@ mod x86 {
                 eval,
                 tally: Tally::new(counts),
             };
-            let mut block = [0u32; LANES];
+            let mut batch = [0u32; BATCH];
             let mut filled = 0usize;
             src.for_each_key(|key| {
                 // Truncation is exact: `hash8` masks every lane to the
                 // family's key width, which eligibility keeps within u32.
-                block[filled] = key as u32;
+                batch[filled] = key as u32;
                 filled += 1;
-                if filled == LANES {
+                if filled == BATCH {
                     // safety: this engine is only built after the AVX2
                     // cpuid check; the feature cannot disappear at runtime.
-                    unsafe { sink.block(&block) };
+                    unsafe { sink.batch(batch.as_chunks::<LANES>().0) };
                     filled = 0;
                 }
             });
-            for &key in &block[..filled] {
+            let (blocks, rest) = batch[..filled].as_chunks::<LANES>();
+            // safety: as above, AVX2 was detected when the engine was built.
+            unsafe { sink.batch(blocks) };
+            for &key in rest {
                 probe(&sink.eval, rows, 1, u64::from(key), &mut sink.tally);
             }
             sink.tally.finish();
@@ -198,7 +233,17 @@ mod x86 {
     }
 
     impl<const K: usize, W: MaskWord> Sink<'_, K, W> {
+        /// Probe and count `blocks` back to back in one AVX2 call, with
+        /// [`Self::block`] inlined, so consecutive blocks overlap.
         #[target_feature(enable = "avx2")]
+        fn batch(&mut self, blocks: &[[u32; LANES]]) {
+            for keys in blocks {
+                self.block(keys);
+            }
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
         fn block(&mut self, keys: &[u32; LANES]) {
             // safety: keys is exactly 32 bytes; loadu needs no alignment.
             let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };

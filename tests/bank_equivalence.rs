@@ -46,12 +46,12 @@ fn synthetic_classifier(p: usize) -> MultiLanguageClassifier {
 }
 
 fn classifier_for(p: usize) -> &'static MultiLanguageClassifier {
-    // One shared instance per boundary-interesting p (100 crosses the
-    // 64-language single-word mask limit).
+    // One shared instance per boundary-interesting p (16 fills a u16 mask
+    // row exactly; 100 crosses the 64-language single-word mask limit).
     static BANKS: std::sync::OnceLock<Vec<(usize, MultiLanguageClassifier)>> =
         std::sync::OnceLock::new();
     let banks = BANKS.get_or_init(|| {
-        [1usize, 8, 12, 20, 32, 64, 100]
+        [1usize, 8, 12, 16, 20, 32, 64, 100]
             .into_iter()
             .map(|p| (p, synthetic_classifier(p)))
             .collect()
@@ -241,20 +241,27 @@ proptest! {
     }
 }
 
-/// Every gram-stream length through the first several 8-lane blocks — in
-/// particular tails not divisible by the lane count — matches the naive
-/// count on both dispatch paths.
+/// Every gram-stream length from empty through two full 64-key batches
+/// plus a partial one — so every tail not divisible by the 8-lane block,
+/// every partial batch, and the lengths on either side of each batch
+/// boundary — matches the naive count on both dispatch paths, at every
+/// mask-row width.
 #[test]
 fn block_tail_lengths_match_naive() {
-    for &p in &[8usize, 32, 64, 100] {
+    const MAX_LEN: usize = 2 * 64 + 24;
+    for &p in &[8usize, 16, 32, 64, 100] {
         let auto = classifier_for(p);
         let mut scalar = auto.clone();
         scalar.set_force_scalar(true);
-        let doc = synthetic_doc(3, 64);
+        let doc = synthetic_doc(3, 400);
         let mut grams = Vec::new();
         NGramExtractor::new(auto.spec()).extract_into(&doc, &mut grams);
-        assert!(grams.len() > 24, "need a few SIMD blocks' worth of grams");
-        for len in 0..=grams.len().min(40) {
+        assert!(
+            grams.len() >= MAX_LEN,
+            "need {MAX_LEN} grams, got {}",
+            grams.len()
+        );
+        for len in 0..=MAX_LEN {
             let gs = &grams[..len];
             let naive = auto.classify_ngrams_naive(gs);
             assert_eq!(auto.classify_ngrams(gs), naive, "auto p={p} len={len}");

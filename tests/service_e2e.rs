@@ -537,6 +537,10 @@ fn high_concurrency_slow_reader_stalls_only_itself() {
     let addr = server.addr();
 
     let mut slow = raw_conn(addr);
+    // A live reactor keeps reading this burst; if it died, the write would
+    // block forever once the socket buffers filled. Bound it instead.
+    slow.set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     const SLOW_DOCS: usize = 3000;
     slow.write_all(&doc_burst(b"the slow peer sends and sends", SLOW_DOCS))
         .unwrap();
