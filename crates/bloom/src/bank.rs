@@ -38,7 +38,9 @@
 //!    [`SPREAD8`], and one 64-bit add bumps eight packed byte counters at
 //!    once, branch-free; the packed bytes drain into the `u64` counters
 //!    before any can wrap. Wider masks scatter-add their set bits
-//!    (`trailing_zeros` loop, one increment per matching language).
+//!    (`trailing_zeros` loop, one increment per matching language). The
+//!    AVX2 engine counts its 8-key blocks of `p ≤ 32` masks in vector
+//!    registers instead (see the `simd` module).
 //!
 //! That is `k` loads + one AND per n-gram instead of `p·k` loads — the same
 //! fan-out the paper's datapath gets from wiring.
@@ -144,14 +146,14 @@ static SPREAD8: [u64; 256] = {
     t
 };
 
-/// Drain the packed byte counters after this many counted keys. Each byte
-/// lane grows by at most 1 per key and a vector block adds 8 keys at once,
-/// so draining at 248 (255 rounded down to a block multiple) means no lane
-/// ever wraps.
-const FLUSH_AT: u32 = 248;
+/// Drain the packed byte counters after this many counted keys. Keys are
+/// counted one at a time and each byte lane grows by at most 1 per key, so
+/// draining at 255 means no lane ever wraps.
+const FLUSH_AT: u32 = 255;
 
-/// The per-language match counter every probe loop feeds, for masks of
-/// width `W`. Up to `u32`, language `8w + j` counts in byte `j` of
+/// The per-language match counter of the scalar loop, which the AVX2
+/// engine also feeds with its `u64` rows and its leftover keys, for masks
+/// of width `W`. Up to `u32`, language `8w + j` counts in byte `j` of
 /// `packed[w]` (one [`SPREAD8`] add per mask byte), drained into `counts`
 /// every [`FLUSH_AT`] keys; `u64` masks scatter-add straight into `counts`.
 /// Call [`Self::finish`] to drain what is left.
@@ -174,6 +176,12 @@ impl<'a, W: MaskWord> Tally<'a, W> {
         }
     }
 
+    /// The per-language counters, for a caller that counts some keys
+    /// itself (the AVX2 engine's vector blocks).
+    pub(crate) fn counts(&mut self) -> &mut [u64] {
+        self.counts
+    }
+
     /// Count word `w` of one key's match mask (bit `b` is language
     /// `64w + b`); packed widths only have word 0. Call [`Self::tick`]
     /// once the key's words are counted.
@@ -192,12 +200,12 @@ impl<'a, W: MaskWord> Tally<'a, W> {
         }
     }
 
-    /// Record that `keys` more keys were counted, draining the packed
-    /// counters once they could next wrap.
+    /// Record that one more key was counted, draining the packed counters
+    /// once they could next wrap.
     #[inline]
-    pub(crate) fn tick(&mut self, keys: u32) {
+    pub(crate) fn tick(&mut self) {
         if Self::PACKED {
-            self.pending += keys;
+            self.pending += 1;
             if self.pending >= FLUSH_AT {
                 self.flush();
             }
@@ -239,7 +247,7 @@ pub(crate) fn probe<const K: usize, W: MaskWord>(
         }
         tally.count(w, mask.to_u64());
     }
-    tally.tick(1);
+    tally.tick();
 }
 
 /// Width-specialized bit-sliced arrays (one per hash function).
@@ -255,7 +263,10 @@ enum MaskSlices {
     W64(Vec<Box<[u64]>>),
 }
 
-/// Bit-sliced multi-language Bloom engine. See the [module docs](self).
+/// Bit-sliced multi-language Bloom engine: per hash function, one
+/// address-indexed array of `p`-bit language masks, so one key tests
+/// against every language with `k` loads and one AND. The layout and its
+/// invariants are documented at the top of the `bank` module's source.
 #[derive(Clone, Debug)]
 pub struct FilterBank {
     params: BloomParams,
@@ -635,11 +646,13 @@ mod tests {
 
     #[test]
     fn packed_flush_boundary_is_exact() {
-        // The packed byte counters drain every FLUSH_AT keys. Every query
-        // key is programmed into every language, so every byte lane grows
-        // by one per key: streams ending just before, at and after a
-        // drain must still equal the naive walk, on both probe paths and
-        // across the u8 (8), u16 (12, 16) and u32 (20, 32) rows.
+        // The scalar loop's packed byte counters drain every FLUSH_AT
+        // (255) keys, and the AVX2 engine's byte-counter registers every
+        // 255 blocks (2040 keys). Every query key is programmed into every
+        // language, so every byte counter grows by one per key or block:
+        // streams ending just before, at and after a drain must still
+        // equal the naive walk, on both probe paths and across the u8 (8),
+        // u16 (12, 16) and u32 (20, 32) rows.
         let params = BloomParams::new(4, 10);
         let mut rng = SmallRng::seed_from_u64(99);
         let shared: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
@@ -649,7 +662,9 @@ mod tests {
                 f.program_all(shared.iter().copied());
             }
             let mut bank = FilterBank::from_filters(&filters);
-            for n in [247usize, 248, 249, 255, 256, 496, 1021] {
+            for n in [
+                247usize, 248, 249, 254, 255, 256, 496, 510, 1021, 2039, 2040, 2041, 2048, 4081,
+            ] {
                 let keys: Vec<u64> = (0..n)
                     .map(|_| shared[rng.gen_range(0..shared.len())])
                     .collect();

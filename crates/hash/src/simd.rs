@@ -7,7 +7,11 @@
 //! per (byte, word). [`hash8`] folds eight keys in lock-step: per
 //! (byte, word) two `vpgatherqq` pull the eight keys' words, the XOR fold
 //! runs in registers, and a shuffle transposes the 16-bit fields into one
-//! 8-lane address vector per function. That is the software image of the
+//! 8-lane address vector per function. A last word with at most two live
+//! fields (`k ∈ {1, 2, 5, 6}`) holds them in its low 32 bits, so one
+//! scale-8 `vpgatherdd` reads that half for all eight keys and an AND and
+//! a 16-bit shift split it: at the paper's compact `k = 6` that is 3
+//! gathers per key byte instead of 4. That is the software image of the
 //! paper's XOR-tree fan-out: the hardware evaluates `k` hashes of one gram
 //! per cycle, the vector unit evaluates `k` hashes of **eight** grams per
 //! iteration.
@@ -101,10 +105,11 @@ mod avx2 {
     use crate::FusedEvaluatorK;
     use core::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_cvtepu16_epi32,
-        _mm256_extracti128_si256, _mm256_i32gather_epi64, _mm256_mullo_epi32,
-        _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8,
-        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srl_epi32, _mm256_unpackhi_epi64,
-        _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_cvtsi32_si128,
+        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_i32gather_epi64,
+        _mm256_mullo_epi32, _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_setr_epi32,
+        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srl_epi32,
+        _mm256_srli_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
+        _mm_cvtsi32_si128,
     };
 
     /// Evaluate all `K` functions on 8 keys at once: returns `K` vectors of
@@ -123,17 +128,24 @@ mod avx2 {
         debug_assert!(eval.field_bits == 16 && eval.key_mask <= u64::from(u32::MAX));
         // Four 16-bit fields per word.
         let words = K.div_ceil(4);
+        // A last word with at most two live fields (K % 4 ∈ {1, 2}) keeps
+        // them in its low 32 bits: one dword gather reads it for all eight
+        // keys. Every other word takes two qword gathers.
+        let tail = matches!(K % 4, 1 | 2);
+        let qwords = words - usize::from(tail);
         // Keys are ≤ 32 bits by eligibility, so masking in u32 lanes is exact.
         let keys = _mm256_and_si256(keys, _mm256_set1_epi32(eval.key_mask as u32 as i32));
         let byte_mask = _mm256_set1_epi32(0xFF);
         // Per word: keys 0..4 in `lo`, keys 4..8 in `hi`, one u64 lane each.
         let mut lo = [_mm256_setzero_si256(); K];
         let mut hi = [_mm256_setzero_si256(); K];
+        // The tail word's low halves, one u32 lane per key.
+        let mut last = _mm256_setzero_si256();
         for byte_idx in 0..eval.n_bytes {
             let shift = _mm_cvtsi32_si128((8 * byte_idx) as i32);
             let bytes = _mm256_and_si256(_mm256_srl_epi32(keys, shift), byte_mask);
             let idx = _mm256_mullo_epi32(bytes, _mm256_set1_epi32(words as i32));
-            for w in 0..words {
+            for w in 0..qwords {
                 let run = &eval.packed[byte_idx * 256 * words + w..];
                 // safety: each idx lane is byte · words with byte ≤ 255, so
                 // the read at run[idx] is word w of entry (byte_idx, byte),
@@ -155,6 +167,15 @@ mod avx2 {
                 lo[w] = _mm256_xor_si256(lo[w], l);
                 hi[w] = _mm256_xor_si256(hi[w], h);
             }
+            if tail {
+                let run = &eval.packed[byte_idx * 256 * words + qwords..];
+                // safety: scale 8 puts lane j's read at the same byte offset
+                // as the qword gathers above, run[idx] = word `qwords` (the
+                // last) of entry (byte_idx, byte), inside the table for the
+                // same reasons; the 4-byte read is that word's low half.
+                let d = unsafe { _mm256_i32gather_epi32::<8>(run.as_ptr().cast(), idx) };
+                last = _mm256_xor_si256(last, d);
+            }
         }
         // Transpose each word's 8 × 4 u16 fields into 4 vectors of 8 u32
         // addresses. Within each 128-bit lane, gather field f of both keys
@@ -166,7 +187,7 @@ mod avx2 {
         );
         let quad_fields = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
         let mut out = [_mm256_setzero_si256(); K];
-        for w in 0..words {
+        for w in 0..qwords {
             let l =
                 _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(lo[w], pair_fields), quad_fields);
             let h =
@@ -182,6 +203,17 @@ mod avx2 {
             ];
             for (o, &f) in out[4 * w..].iter_mut().zip(&fields) {
                 *o = _mm256_cvtepu16_epi32(f);
+            }
+        }
+        if tail {
+            // The tail word's fields: 0 in the low 16 bits of each lane,
+            // 1 (when K % 4 == 2) in the high 16.
+            let fields = [
+                _mm256_and_si256(last, _mm256_set1_epi32(0xFFFF)),
+                _mm256_srli_epi32::<16>(last),
+            ];
+            for (o, &f) in out[4 * qwords..].iter_mut().zip(&fields) {
+                *o = f;
             }
         }
         out
@@ -223,8 +255,9 @@ mod tests {
             return;
         }
         // (k, input_bits, output_bits): one- and two-word entries, the
-        // paper's compact two-word shape (k = 6, m = 4 Kbit) and the
-        // widest 16-bit field.
+        // paper's compact two-word shape (k = 6, m = 4 Kbit), the widest
+        // 16-bit field, and every k whose last word takes the dword
+        // gather (1, 2, 5, 6).
         for (k, input_bits, output_bits, seed) in [
             (4usize, 20u32, 14u32, 7u64),
             (1, 5, 5, 8),
@@ -232,6 +265,8 @@ mod tests {
             (3, 17, 14, 10),
             (6, 20, 12, 11),
             (4, 20, 16, 12),
+            (2, 20, 16, 13),
+            (5, 24, 13, 14),
         ] {
             let fam = H3Family::new(k, input_bits, output_bits, seed);
             let keys: [u32; 8] = std::array::from_fn(|j| {
@@ -254,8 +289,10 @@ mod tests {
                 }
                 match k {
                     1 => run!(1),
+                    2 => run!(2),
                     3 => run!(3),
                     4 => run!(4),
+                    5 => run!(5),
                     6 => run!(6),
                     8 => run!(8),
                     _ => unreachable!(),

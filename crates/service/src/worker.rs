@@ -35,7 +35,7 @@
 //!    channel-tagged `EngineFault` response in that document's slot
 //!    (`worker_panics`).
 //! 2. *Shard respawn.* The shard's sessions map and job receiver live
-//!    outside the thread (in [`ShardState`], shared `Arc`s), so if a
+//!    outside the thread (in `ShardState`, shared `Arc`s), so if a
 //!    panic ever escapes the guard the thread dies but the shard's state
 //!    survives. A pool supervisor reaps the dead thread, answers the
 //!    document whose apply was in flight (if any) with an `EngineFault`,

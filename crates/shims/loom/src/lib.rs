@@ -2,7 +2,7 @@
 //! this workspace uses: a deterministic, exhaustive-up-to-bounds model
 //! checker for code written against `std::sync::atomic`.
 //!
-//! [`model`] runs a closure under every thread interleaving a bounded
+//! [`model()`] runs a closure under every thread interleaving a bounded
 //! depth-first search can reach, one schedule per execution. Each
 //! atomic operation (and each spawn/join/yield) is a scheduling point;
 //! only one model thread runs at a time, so the exploration is exactly
@@ -37,7 +37,7 @@
 //! On a property violation the explorer prints the schedule (the tid
 //! chosen at each decision point) before re-raising the panic, so a
 //! failing interleaving can be read off the test output. Outside
-//! [`model`] every shim type degrades to plain `std` behaviour, so code
+//! [`model()`] every shim type degrades to plain `std` behaviour, so code
 //! compiled against the facade still runs normally.
 
 #![forbid(unsafe_code)]
@@ -146,7 +146,7 @@ pub mod thread {
         }
     }
 
-    /// Spawn a model thread (a real thread outside [`crate::model`]).
+    /// Spawn a model thread (a real thread outside [`crate::model()`]).
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,

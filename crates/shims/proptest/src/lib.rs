@@ -237,7 +237,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// A length specification for [`vec`]: exact, `lo..hi`, or `lo..=hi`.
+    /// A length specification for [`vec()`]: exact, `lo..hi`, or `lo..=hi`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -282,7 +282,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,
