@@ -82,9 +82,9 @@ pub use chaos::{ChaosConfig, FaultPlan, FaultSite};
 pub use client::{ClassifyClient, ClientError, RetryPolicy, ServedResult};
 pub use lc_reactor::{install_termination_handler, raise_nofile_limit, termination_requested};
 pub use metrics::{
-    histogram_percentile_us, latency_bucket, DocTimings, MetricsSnapshot, ServiceMetrics,
-    ShardCounters, ShardStats, SnapshotDecodeError, EVENTS_PER_WAKE_BOUNDS, LATENCY_BOUNDS_US,
-    LATENCY_BUCKETS, STATS_SCHEMA_VERSION,
+    histogram_percentile_us, latency_bucket, MetricsSnapshot, ServiceMetrics, ShardCounters,
+    ShardStats, SnapshotDecodeError, EVENTS_PER_WAKE_BOUNDS, LATENCY_BOUNDS_US, LATENCY_BUCKETS,
+    STATS_SCHEMA_VERSION,
 };
 pub use outbound::{high_water_op, MaskOp, ResponseSink};
 pub use ring::{EventRing, RingEvent, RingSet, RingTag};

@@ -7,18 +7,21 @@
 //! outbound high-water stalls, slow-consumer resets), reactor-loop
 //! telemetry (epoll wakeups, events-per-wake distribution, read/write
 //! syscalls, eventfd wakes), per-worker-shard counters, and fixed-bucket
-//! latency histograms — the end-to-end document service time (Size seen →
-//! result latched) *decomposed* into queue-wait, classify, and
+//! latency histograms — the end-to-end document service time (Size
+//! accepted → result latched) *decomposed* into queue-wait, classify, and
 //! response-drain stages so a throughput cliff can be attributed to
-//! queuing vs compute vs the write path.
+//! queuing vs compute vs the write path. All four are read off each
+//! document's one stage record ([`SpanRecord`]), which also feeds the
+//! span plane ([`SpanSet`]) at its flush.
 //!
-//! The whole struct is relaxed atomics: recording never takes a lock and
-//! never fences, which is what keeps the instrumentation cheap enough to
-//! leave on.
+//! The counters and histograms are relaxed atomics: recording never
+//! takes a lock and never fences, which is what keeps the
+//! instrumentation cheap enough to leave on. Only a span the plane keeps
+//! (sampled, slow or faulted) takes its shard buffer's lock.
 
 use crate::ring::RingEvent;
 use crate::sync::{AtomicU64, Ordering};
-use crate::trace::{HistoryShard, HistorySlot, SpanRecord};
+use crate::trace::{HistoryShard, HistorySlot, SpanRecord, SpanSet};
 use std::time::Duration;
 
 /// Upper bounds of the latency histogram buckets, in microseconds; one
@@ -39,24 +42,14 @@ pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_US.len() + 1;
 /// Bucket index for a measured duration under [`LATENCY_BOUNDS_US`].
 /// Public so client-side `--timing` fills bucket-compatible histograms.
 pub fn latency_bucket(d: Duration) -> usize {
-    let us = d.as_micros() as u64;
+    us_bucket(d.as_micros() as u64)
+}
+
+fn us_bucket(us: u64) -> usize {
     LATENCY_BOUNDS_US
         .iter()
         .position(|&b| us <= b)
         .unwrap_or(LATENCY_BOUNDS_US.len())
-}
-
-/// Per-document stage timings handed to
-/// [`ServiceMetrics::record_document`] when a result latches.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DocTimings {
-    /// Size decoded → result latched: the end-to-end service time.
-    pub total: Duration,
-    /// Time the document's command frames spent enqueued in the shard
-    /// queue (shard-enqueued → worker-dequeued, summed over its frames).
-    pub queue_wait: Duration,
-    /// Time spent feeding payload bytes through the classifier.
-    pub classify: Duration,
 }
 
 /// One worker shard's live counters (relaxed atomics, updated by the
@@ -206,13 +199,16 @@ pub struct ServiceMetrics {
     lang_names: Vec<String>,
     /// Wins per language, index-aligned with the classifier's names.
     lang_wins: Vec<AtomicU64>,
-    /// End-to-end latency histogram: `LATENCY_BOUNDS_US` buckets + overflow.
+    /// End-to-end latency histogram (Size accepted → result latched):
+    /// `LATENCY_BOUNDS_US` buckets + overflow.
     latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Queue-wait stage histogram (shard-enqueued → worker-dequeued).
+    /// Queue-wait stage histogram (the document's own frames,
+    /// shard-enqueued → worker-dequeued).
     queue_wait: [AtomicU64; LATENCY_BUCKETS],
-    /// Classify stage histogram (time feeding the classifier).
+    /// Classify stage histogram (time feeding the classifier, `finish`
+    /// included).
     classify: [AtomicU64; LATENCY_BUCKETS],
-    /// Response-drain stage histogram (result latched → response bytes
+    /// Response-drain stage histogram (response enqueued → its bytes
     /// flushed into the socket).
     response_drain: [AtomicU64; LATENCY_BUCKETS],
     /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
@@ -222,6 +218,9 @@ pub struct ServiceMetrics {
     /// Classify probe path (`"scalar"`/`"avx2"`), set once at startup from
     /// the classifier's resolved dispatch; empty until then.
     simd: std::sync::OnceLock<String>,
+    /// The span plane: keeps the stage records of faulted documents, and
+    /// of sampled and slow ones under [`ServiceMetrics::with_span_policy`].
+    spans: SpanSet,
 }
 
 impl ServiceMetrics {
@@ -272,7 +271,21 @@ impl ServiceMetrics {
             events_per_wake: std::array::from_fn(|_| AtomicU64::new(0)),
             shards: (0..workers).map(|_| ShardCounters::default()).collect(),
             simd: std::sync::OnceLock::new(),
+            spans: SpanSet::new(0, 0, workers),
         }
+    }
+
+    /// These metrics with the span plane keeping 1-in-`sample` document
+    /// records (0 = none) and every record slower than `slow_us` end to
+    /// end (0 = off), on top of the faulted ones it always keeps.
+    pub fn with_span_policy(mut self, sample: u32, slow_us: u64) -> Self {
+        self.spans = SpanSet::new(sample, slow_us, self.shards.len());
+        self
+    }
+
+    /// The span plane (drained into `GetStats(detail=2)` answers).
+    pub fn spans(&self) -> &SpanSet {
+        &self.spans
     }
 
     /// Record the classify probe path (`"scalar"`/`"avx2"`) the server's
@@ -288,36 +301,31 @@ impl ServiceMetrics {
         self.shards.get(i)
     }
 
-    /// Record one latched document: the global counters, the winning
-    /// language, the end-to-end latency bucket, the per-stage buckets,
-    /// and the owning shard's `docs` — all in the same call so per-shard
-    /// docs always sum to the global counter.
-    pub fn record_document(
-        &self,
-        winner: usize,
-        doc_bytes: u64,
-        ngrams: u64,
-        shard: usize,
-        timings: DocTimings,
-    ) {
+    /// Record one document at its latch, from its stage record: the
+    /// global counters, the winning language, the end-to-end latency
+    /// bucket (`total_us`, accept → latch), the queue-wait and classify
+    /// buckets, and the owning shard's `docs` — all in the same call so
+    /// per-shard docs always sum to the global counter.
+    pub fn record_document(&self, winner: usize, ngrams: u64, record: &SpanRecord) {
         self.documents.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(doc_bytes, Ordering::Relaxed);
+        self.bytes
+            .fetch_add(u64::from(record.doc_bytes), Ordering::Relaxed);
         self.ngrams.fetch_add(ngrams, Ordering::Relaxed);
         if let Some(w) = self.lang_wins.get(winner) {
             w.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(s) = self.shards.get(shard) {
+        if let Some(s) = self.shards.get(usize::from(record.shard)) {
             s.docs.fetch_add(1, Ordering::Relaxed);
         }
-        self.latency[latency_bucket(timings.total)].fetch_add(1, Ordering::Relaxed);
-        self.queue_wait[latency_bucket(timings.queue_wait)].fetch_add(1, Ordering::Relaxed);
-        self.classify[latency_bucket(timings.classify)].fetch_add(1, Ordering::Relaxed);
+        self.latency[us_bucket(record.total_us)].fetch_add(1, Ordering::Relaxed);
+        self.queue_wait[us_bucket(record.queue_us)].fetch_add(1, Ordering::Relaxed);
+        self.classify[us_bucket(record.classify_us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a response's drain time (result latched → its bytes flushed
-    /// into the socket). Recorded by the outbound path, which is the only
-    /// place that sees the actual flush — under backpressure this is the
-    /// stage that grows.
+    /// Record a response's drain time (response enqueued → its bytes
+    /// flushed into the socket). Recorded by the outbound path, which is
+    /// the only place that sees the actual flush — under backpressure
+    /// this is the stage that grows.
     pub fn record_drain(&self, drain: Duration) {
         self.response_drain[latency_bucket(drain)].fetch_add(1, Ordering::Relaxed);
     }
@@ -499,9 +507,9 @@ pub struct MetricsSnapshot {
     /// `GetStats(detail=1)` answers from a `--trace-ring` server; empty
     /// in plain snapshots).
     pub rings: Vec<Vec<RingEvent>>,
-    /// Trace spans drained by a `GetStats(detail=2)` answer from a
-    /// tracing server (`--trace-sample`/`--trace-slow-us`); empty in
-    /// plain snapshots and at lower detail.
+    /// Trace spans drained by a `GetStats(detail=2)` answer: faulted
+    /// documents always, sampled and slow ones per `--trace-sample` /
+    /// `--trace-slow-us`; empty in plain snapshots and at lower detail.
     pub spans: Vec<SpanRecord>,
     /// Time-series history slots attached by a `GetStats(detail=2)`
     /// answer when the server's sampler is running; empty otherwise.
@@ -1142,19 +1150,21 @@ impl std::fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
-    fn doc_timings(total: Duration) -> DocTimings {
-        DocTimings {
-            total,
-            ..DocTimings::default()
+    fn doc(bytes: u32, shard: u16, total_us: u64) -> SpanRecord {
+        SpanRecord {
+            doc_bytes: bytes,
+            shard,
+            total_us,
+            ..SpanRecord::default()
         }
     }
 
     #[test]
     fn documents_land_in_the_right_bucket() {
         let m = ServiceMetrics::new(3);
-        m.record_document(1, 100, 97, 0, doc_timings(Duration::from_micros(50)));
-        m.record_document(1, 200, 197, 0, doc_timings(Duration::from_micros(2_000)));
-        m.record_document(2, 300, 297, 0, doc_timings(Duration::from_secs(10)));
+        m.record_document(1, 97, &doc(100, 0, 50));
+        m.record_document(1, 197, &doc(200, 0, 2000));
+        m.record_document(2, 297, &doc(300, 0, 10_000_000));
         let s = m.snapshot();
         assert_eq!(s.documents, 3);
         assert_eq!(s.bytes, 600);
@@ -1173,24 +1183,26 @@ mod tests {
         let m = ServiceMetrics::new(1);
         m.record_document(
             0,
-            10,
             5,
-            0,
-            DocTimings {
-                total: Duration::from_micros(250),
-                queue_wait: Duration::from_micros(50),
-                classify: Duration::from_micros(150),
+            &SpanRecord {
+                doc_bytes: 10,
+                shard: 0,
+                total_us: 250,
+                queue_us: 50,
+                classify_us: 150,
+                ..SpanRecord::default()
             },
         );
         m.record_document(
             0,
-            10,
             5,
-            0,
-            DocTimings {
-                total: Duration::from_secs(1),
-                queue_wait: Duration::from_millis(950),
-                classify: Duration::from_micros(100),
+            &SpanRecord {
+                doc_bytes: 10,
+                shard: 0,
+                total_us: 1_000_000,
+                queue_us: 950_000,
+                classify_us: 100,
+                ..SpanRecord::default()
             },
         );
         m.record_drain(Duration::from_micros(90));
@@ -1225,11 +1237,11 @@ mod tests {
     #[test]
     fn shard_docs_sum_to_global_documents() {
         let m = ServiceMetrics::with_topology(vec!["en".into()], 3);
-        m.record_document(0, 1, 1, 0, DocTimings::default());
-        m.record_document(0, 1, 1, 2, DocTimings::default());
-        m.record_document(0, 1, 1, 2, DocTimings::default());
+        m.record_document(0, 1, &doc(1, 0, 0));
+        m.record_document(0, 1, &doc(1, 2, 0));
+        m.record_document(0, 1, &doc(1, 2, 0));
         // Out-of-range shard: counted globally, unattributed per-shard.
-        m.record_document(0, 1, 1, usize::MAX, DocTimings::default());
+        m.record_document(0, 1, &doc(1, u16::MAX, 0));
         let s = m.snapshot();
         assert_eq!(s.documents, 4);
         assert_eq!(s.shards.len(), 3);
@@ -1278,7 +1290,7 @@ mod tests {
     #[test]
     fn out_of_range_winner_is_ignored() {
         let m = ServiceMetrics::new(2);
-        m.record_document(9, 1, 1, 0, DocTimings::default());
+        m.record_document(9, 1, &doc(1, 0, 0));
         assert_eq!(m.snapshot().lang_wins, vec![0, 0]);
         assert_eq!(m.snapshot().documents, 1);
     }
@@ -1286,7 +1298,7 @@ mod tests {
     #[test]
     fn snapshot_displays_compactly() {
         let m = ServiceMetrics::new(1);
-        m.record_document(0, 10, 7, 0, doc_timings(Duration::from_micros(80)));
+        m.record_document(0, 7, &doc(10, 0, 80));
         let line = m.snapshot().to_string();
         assert!(line.contains("docs 1"));
         assert!(line.contains("≤100:1"));
@@ -1303,13 +1315,13 @@ mod tests {
             0,
         );
         for _ in 0..5 {
-            m.record_document(1, 1, 1, 0, DocTimings::default());
+            m.record_document(1, 1, &doc(1, 0, 0));
         }
         for _ in 0..3 {
-            m.record_document(3, 1, 1, 0, DocTimings::default());
+            m.record_document(3, 1, &doc(1, 0, 0));
         }
-        m.record_document(0, 1, 1, 0, DocTimings::default());
-        m.record_document(2, 1, 1, 0, DocTimings::default());
+        m.record_document(0, 1, &doc(1, 0, 0));
+        m.record_document(2, 1, &doc(1, 0, 0));
         let line = m.snapshot().to_string();
         let top = line.split(" | top").nth(1).expect("top section rendered");
         assert!(top.starts_with(" fr:5 es:3"), "got: {line}");
@@ -1405,16 +1417,17 @@ mod tests {
         let m = ServiceMetrics::with_topology(vec!["en".into(), "español".into()], 2);
         m.record_document(
             0,
-            1000,
             500,
-            0,
-            DocTimings {
-                total: Duration::from_micros(400),
-                queue_wait: Duration::from_micros(90),
-                classify: Duration::from_micros(250),
+            &SpanRecord {
+                doc_bytes: 1000,
+                shard: 0,
+                total_us: 400,
+                queue_us: 90,
+                classify_us: 250,
+                ..SpanRecord::default()
             },
         );
-        m.record_document(1, 2000, 900, 1, doc_timings(Duration::from_millis(5)));
+        m.record_document(1, 900, &doc(2000, 1, 5000));
         m.record_drain(Duration::from_micros(40));
         m.record_wake(3);
         m.connections.store(7, Ordering::Relaxed);

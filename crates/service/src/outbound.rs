@@ -45,7 +45,7 @@ use crate::chaos::{FaultPlan, FaultSite};
 use crate::metrics::ServiceMetrics;
 use crate::ring::{EventRing, RingTag};
 use crate::sync::Ordering;
-use crate::trace::PendingSpan;
+use crate::trace::SpanRecord;
 
 /// The `EPOLLIN` mask transition [`high_water_op`] asks the reactor to
 /// perform after a flush pass.
@@ -106,47 +106,38 @@ pub(crate) struct OutboundInner {
     /// Total bytes ever pushed into `buf` (monotonic); `pushed -
     /// buf.len()` is the bytes the socket has accepted so far.
     pub pushed: u64,
-    /// One `(end offset in the pushed stream, enqueue stamp, pending
-    /// span)` per worker response awaiting the socket, FIFO; popped as
-    /// write progress passes each offset, feeding the response-drain
-    /// stage histogram and completing any trace span riding the response
-    /// (the flush is the one place the real drain time exists).
-    pub stamps: VecDeque<(u64, Instant, Option<PendingSpan>)>,
+    /// One `(end offset in the pushed stream, enqueue stamp, stage
+    /// record)` per worker response awaiting the socket, FIFO; popped as
+    /// write progress passes each offset (the flush is the one place the
+    /// real drain time exists).
+    pub stamps: VecDeque<(u64, Instant, SpanRecord)>,
 }
 
 impl OutboundInner {
-    /// Append one encoded frame to the queue. A `stamp` marks a document
-    /// response whose latched→flushed time should feed the response-drain
-    /// histogram (reactor-generated frames — Hello, faults, stats — pass
-    /// `None`), optionally carrying the document's trace span to finish
-    /// with that same drain measurement.
-    pub fn push_frame(
-        &mut self,
-        bytes: Vec<u8>,
-        stamp: Option<Instant>,
-        span: Option<PendingSpan>,
-    ) {
+    /// Append one encoded frame to the queue. A worker response carries
+    /// its document's stage `record`, stamped here so its flush can
+    /// measure the drain; reactor-generated frames (Hello, faults, stats)
+    /// pass `None`.
+    pub fn push_frame(&mut self, bytes: Vec<u8>, record: Option<SpanRecord>) {
         self.pushed += bytes.len() as u64;
-        if let Some(at) = stamp {
-            self.stamps.push_back((self.pushed, at, span));
+        if let Some(record) = record {
+            self.stamps.push_back((self.pushed, Instant::now(), record));
         }
         self.buf.push(bytes);
     }
 
-    /// Fold write progress into the response-drain histogram: every
-    /// stamped response whose last byte has now left the queue gets its
-    /// drain time recorded (and its riding span, if any, completed with
-    /// it). Called after any `buf.write_to` progress (write-through fast
-    /// path and reactor flush alike).
+    /// The flush edge: every worker response whose last byte has now left
+    /// the queue records its drain time, and its stage record goes to the
+    /// span plane, which keeps it if it was sampled, slow or faulted.
+    /// Called after any `buf.write_to` progress (write-through fast path
+    /// and reactor flush alike).
     pub fn note_flushed(&mut self, metrics: &ServiceMetrics) {
         let flushed = self.pushed - self.buf.len() as u64;
         while self.stamps.front().is_some_and(|&(end, ..)| end <= flushed) {
-            if let Some((_, at, span)) = self.stamps.pop_front() {
+            if let Some((_, at, record)) = self.stamps.pop_front() {
                 let drain = at.elapsed();
                 metrics.record_drain(drain);
-                if let Some(span) = span {
-                    span.finish(drain);
-                }
+                metrics.spans().finish(record, drain);
             }
         }
     }
@@ -291,24 +282,18 @@ impl ResponseSink {
     }
 
     /// Deliver one encoded response frame, tagged with this sink's channel
-    /// (channel 0 rides v1 framing — the legacy-client contract). Never
+    /// (channel 0 rides v1 framing — the legacy-client contract), with the
+    /// stage `record` of the document it answers riding along until the
+    /// frame's bytes flush and the span plane sees it. Never
     /// blocks on the network; sends to a torn-down connection are silently
-    /// dropped (the peer is gone).
+    /// dropped (the peer is gone), and so is the record of a frame that
+    /// never flushes.
     ///
     /// With an empty queue the frame is written through to the socket
     /// right here (nonblocking); whatever the socket refuses — a peer
     /// falling behind — is queued and the reactor woken to resume it on
     /// the next writable edge.
-    pub fn send(&self, resp: &WireResponse) {
-        self.send_traced(resp, None);
-    }
-
-    /// [`ResponseSink::send`], with the document's pending trace span
-    /// riding the frame: the span completes when the frame's bytes flush
-    /// into the socket, so its drain stage is the measured one, not an
-    /// estimate. A span on a frame that never flushes (the connection
-    /// died first) is dropped, like the response itself.
-    pub fn send_traced(&self, resp: &WireResponse, span: Option<PendingSpan>) {
+    pub fn send(&self, resp: &WireResponse, record: SpanRecord) {
         let mut bytes = Vec::with_capacity(64);
         if resp.encode_on(self.channel, &mut bytes).is_err() {
             return; // Vec writes cannot fail; defensive.
@@ -320,7 +305,7 @@ impl ResponseSink {
             return;
         }
         let was_empty = inner.buf.is_empty();
-        inner.push_frame(bytes, Some(Instant::now()), span);
+        inner.push_frame(bytes, Some(record));
         self.metrics
             .outbound_queue_peak
             .fetch_max(inner.buf.len() as u64, Ordering::Relaxed);

@@ -54,7 +54,7 @@ use crate::metrics::ServiceMetrics;
 use crate::outbound::{high_water_op, MaskOp, NewConn, OutboundInner, ReactorWaker, ResponseSink};
 use crate::ring::{EventRing, RingSet, RingTag};
 use crate::sync::{AtomicBool, Ordering};
-use crate::trace::{HistoryRing, SpanSet};
+use crate::trace::HistoryRing;
 use crate::worker::{ChannelKey, Job};
 
 /// Token reserved for the reactor's own eventfd.
@@ -164,8 +164,6 @@ pub(crate) struct ReactorControl {
     pub drain: Arc<AtomicBool>,
     pub plan: Option<Arc<FaultPlan>>,
     pub rings: Option<Arc<RingSet>>,
-    /// Span plane for `GetStats(detail=2)` dumps (`None` = tracing off).
-    pub spans: Option<Arc<SpanSet>>,
     /// Time-series ring for `GetStats(detail=2)` dumps (`None` = off).
     pub history: Option<Arc<HistoryRing>>,
 }
@@ -187,7 +185,6 @@ pub(crate) fn spawn_reactor(
         drain,
         plan,
         rings,
-        spans,
         history,
     } = control;
     let ring = rings.as_ref().and_then(|r| r.ring(index)).cloned();
@@ -202,7 +199,6 @@ pub(crate) fn spawn_reactor(
         plan,
         ring,
         rings,
-        spans,
         history,
         cfg,
         conns: HashMap::new(),
@@ -231,8 +227,6 @@ struct Reactor {
     ring: Option<Arc<EventRing>>,
     /// Every reactor's ring, for `GetStats(detail=1)` dumps.
     rings: Option<Arc<RingSet>>,
-    /// Span plane, drained into `GetStats(detail=2)` answers.
-    spans: Option<Arc<SpanSet>>,
     /// History ring, copied into `GetStats(detail=2)` answers.
     history: Option<Arc<HistoryRing>>,
     cfg: ReactorConfig,
@@ -684,7 +678,6 @@ impl Reactor {
             plan,
             ring,
             rings,
-            spans,
             history,
             ..
         } = self;
@@ -720,9 +713,7 @@ impl Reactor {
                                     // span dump *drains* (each span is
                                     // reported once); history is copied.
                                     if detail >= 2 {
-                                        if let Some(sp) = spans {
-                                            snap.spans = sp.drain();
-                                        }
+                                        snap.spans = metrics.spans().drain();
                                         if let Some(h) = history {
                                             snap.history = h.dump();
                                         }
@@ -1216,7 +1207,7 @@ fn fail_malformed(c: &mut Conn, metrics: &ServiceMetrics, detail: String) {
     if resp.encode(&mut bytes).is_ok() {
         if let Ok(mut inner) = c.out.lock() {
             if !inner.dead {
-                inner.push_frame(bytes, None, None);
+                inner.push_frame(bytes, None);
                 metrics
                     .outbound_queue_peak
                     .fetch_max(inner.buf.len() as u64, Ordering::Relaxed);
@@ -1235,7 +1226,7 @@ fn push_response(c: &mut Conn, metrics: &ServiceMetrics, channel: u16, resp: &Wi
     if resp.encode_on(channel, &mut bytes).is_ok() {
         if let Ok(mut inner) = c.out.lock() {
             if !inner.dead {
-                inner.push_frame(bytes, None, None);
+                inner.push_frame(bytes, None);
                 metrics
                     .outbound_queue_peak
                     .fetch_max(inner.buf.len() as u64, Ordering::Relaxed);

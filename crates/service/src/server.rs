@@ -21,7 +21,7 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::outbound::{NewConn, ReactorWaker};
 use crate::reactor::{spawn_reactor, ReactorConfig, ReactorControl};
 use crate::ring::RingSet;
-use crate::trace::{HistoryRing, HistorySlot, SpanSet};
+use crate::trace::{HistoryRing, HistorySlot};
 use crate::worker::WorkerPool;
 
 /// Server tunables.
@@ -70,8 +70,8 @@ pub struct ServiceConfig {
     /// default; when on, `GetStats { detail: 1 }` dumps the rings.
     pub trace_ring: bool,
     /// Head-based document trace sampling: keep 1-in-N spans (0 = off).
-    /// Chaos-faulted and `trace_slow_us` documents force-sample
-    /// regardless; spans leave via `GetStats { detail: 2 }`.
+    /// Faulted and `trace_slow_us` documents are kept regardless; spans
+    /// leave via `GetStats { detail: 2 }`.
     pub trace_sample: u32,
     /// Force-sample any document whose end-to-end time exceeds this many
     /// microseconds (0 = off) — slow outliers become individually
@@ -140,7 +140,6 @@ pub struct ServerHandle {
     sampler_thread: Option<JoinHandle<()>>,
     metrics: Arc<ServiceMetrics>,
     rings: Option<Arc<RingSet>>,
-    spans: Option<Arc<SpanSet>>,
     history: Arc<HistoryRing>,
 }
 
@@ -159,13 +158,6 @@ impl ServerHandle {
     /// with [`ServiceConfig::trace_ring`].
     pub fn rings(&self) -> Option<&Arc<RingSet>> {
         self.rings.as_ref()
-    }
-
-    /// The document span plane, when tracing is on
-    /// ([`ServiceConfig::trace_sample`], [`ServiceConfig::trace_slow_us`],
-    /// or any chaos plan — injected faults must be traceable).
-    pub fn spans(&self) -> Option<&Arc<SpanSet>> {
-        self.spans.as_ref()
     }
 
     /// The time-series history ring the sampler thread feeds.
@@ -232,10 +224,10 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let metrics = Arc::new(ServiceMetrics::with_topology(
-        classifier.names().to_vec(),
-        config.effective_workers(),
-    ));
+    let metrics = Arc::new(
+        ServiceMetrics::with_topology(classifier.names().to_vec(), config.effective_workers())
+            .with_span_policy(config.trace_sample, config.trace_slow_us),
+    );
     // Surface the classifier's resolved probe path (scalar vs AVX2) on the
     // stats plane, so `lcbloom query --stats` can verify a live server's
     // dispatch without shell access to the host.
@@ -250,17 +242,6 @@ pub fn serve(
         .as_ref()
         .filter(|c| c.is_active())
         .map(|c| Arc::new(FaultPlan::new(c.clone())));
-    // The span plane exists when tracing was asked for — or whenever a
-    // chaos plan is active, so injected faults always force-sample their
-    // documents and stay inspectable even with head sampling off.
-    let spans: Option<Arc<SpanSet>> =
-        (config.trace_sample > 0 || config.trace_slow_us > 0 || plan.is_some()).then(|| {
-            Arc::new(SpanSet::new(
-                config.trace_sample,
-                config.trace_slow_us,
-                config.effective_workers(),
-            ))
-        });
     let history = Arc::new(HistoryRing::new());
     let pool = WorkerPool::new(
         Arc::clone(&classifier),
@@ -269,7 +250,6 @@ pub fn serve(
         config.queue_depth,
         config.watchdog,
         plan.clone(),
-        spans.clone(),
     )?;
 
     // The Hello banner is identical for every connection: encode it once.
@@ -314,7 +294,6 @@ pub fn serve(
                 drain: Arc::clone(&draining),
                 plan: plan.clone(),
                 rings: rings.clone(),
-                spans: spans.clone(),
                 history: Some(Arc::clone(&history)),
             },
             reactor_cfg.clone(),
@@ -488,7 +467,6 @@ pub fn serve(
         sampler_thread: Some(sampler_thread),
         metrics,
         rings,
-        spans,
         history,
     })
 }

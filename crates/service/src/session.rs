@@ -24,17 +24,23 @@
 //! aborted document are discarded silently until the next Size re-arms it,
 //! so a pipelined host's one-response-per-document pairing stays intact
 //! (the error or unsolicited notice was the aborted document's response).
+//!
+//! Each document has one stage record ([`SpanRecord`]), kept on one set of
+//! clock edges: accept (the Size frame's shard-enqueue stamp), queue wait
+//! (the document's own frames, each after the first counted only from when
+//! the previous one finished applying), classify, and latch (a clock read
+//! after the classifier's `finish`). At latch the record feeds
+//! [`ServiceMetrics::record_document`]; the response that answers the
+//! document carries a copy ([`Session::record`]) to its flush, where the
+//! drain is added. The stages are disjoint sub-intervals of accept →
+//! latch, so `queue + classify ≤ total` holds without correction.
 
 use lc_core::{ClassificationResult, MultiLanguageClassifier, StreamingSession};
 use lc_wire::{ErrorCode, PayloadBytes, WireCommand, WireResponse};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{DocTimings, ServiceMetrics};
-use crate::trace::{
-    derive_trace_id, PendingSpan, SpanRecord, SpanSet, SPAN_CLIENT_CONTEXT, SPAN_FAULT,
-    SPAN_PARKED, SPAN_SAMPLED, SPAN_SLOW,
-};
+use crate::metrics::ServiceMetrics;
+use crate::trace::{derive_trace_id, SpanRecord, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_PARKED};
 
 /// A latched Query-Result payload (consumed by the first query, like the
 /// hardware latch).
@@ -66,6 +72,10 @@ enum State {
     Draining,
 }
 
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
 /// One connection's protocol engine, driven by decoded [`WireCommand`]s.
 #[derive(Debug)]
 pub struct Session {
@@ -75,49 +85,23 @@ pub struct Session {
     latched: Option<LatchedResult>,
     watchdog: Duration,
     last_activity: Instant,
-    doc_started: Instant,
-    /// Worker shard this session lives on (`usize::MAX` = unattributed,
-    /// e.g. in unit tests that drive a session directly).
-    shard: usize,
-    /// Queue-wait accumulated by the in-flight document's commands
-    /// (shard-enqueued → worker-dequeued, summed over its frames).
+    /// The current (or last) document's stage record. Its identity
+    /// fields (`conn`, `channel`, `shard`) are set by [`Session::attach`]
+    /// and outlive each document.
+    record: SpanRecord,
+    /// The document's accept edge.
+    accept: Instant,
+    /// Queue wait of the document's own frames.
     queue_wait: Duration,
-    /// Time spent feeding this document through the classifier.
-    classify_time: Duration,
-    /// Span plane shared by every session when tracing is on. `None`
-    /// (tracing off) costs one branch per document and nothing else.
-    trace: Option<Arc<SpanSet>>,
-    /// Connection and channel identity for derived trace ids.
-    conn_id: u64,
-    channel: u16,
-    /// 1-based per-channel document sequence number (trace id input).
-    doc_seq: u32,
-    trace_id: u64,
-    span_flags: u8,
-    span_fault: u8,
-    /// Head-based sampling decision, taken once at Size time.
-    span_armed: bool,
-    /// The span's accept edge: the Size command's shard-enqueue stamp.
-    span_accept: Instant,
-    /// Shard-enqueue stamp of the command about to be applied (a Size
-    /// consumes it as the accept edge).
-    last_enqueued: Option<Instant>,
-    /// Queue wait of the command about to be applied.
-    last_cmd_wait: Duration,
-    /// Queue-wait restricted to this document's own frames — unlike
-    /// `queue_wait` (which, resetting at latch, smears the previous
-    /// document's EoD/Query waits forward), this resets at Size so the
-    /// span's stages stay disjoint sub-intervals of [accept, latch].
-    span_queue_wait: Duration,
-    /// A parked frame arrived while idle: flags the *next* document.
-    parked_pending: bool,
-    /// Payload bytes announced by the in-flight document's Size.
-    span_doc_bytes: u32,
-    /// Span sealed at latch, waiting for its Query to ride out on.
-    pending_span: Option<PendingSpan>,
-    /// Span riding the response the caller is about to send; the sender
-    /// finishes it with the measured drain time at flush.
-    response_span: Option<PendingSpan>,
+    /// Time feeding the document through the classifier, `finish`
+    /// included.
+    classify: Duration,
+    /// Where the next frame's queue wait may start: the latest frame's
+    /// dequeue, or the end of its classify once that ran.
+    applied: Instant,
+    /// Shard-enqueue stamp and parked flag of the command about to be
+    /// applied ([`Session::note_job`]).
+    job: Option<(Instant, bool)>,
 }
 
 impl Session {
@@ -130,93 +114,71 @@ impl Session {
             latched: None,
             watchdog,
             last_activity: now,
-            doc_started: now,
-            shard: usize::MAX,
+            record: SpanRecord {
+                shard: u16::MAX,
+                ..SpanRecord::default()
+            },
+            accept: now,
             queue_wait: Duration::ZERO,
-            classify_time: Duration::ZERO,
-            trace: None,
-            conn_id: 0,
-            channel: 0,
-            doc_seq: 0,
-            trace_id: 0,
-            span_flags: 0,
-            span_fault: 0,
-            span_armed: false,
-            span_accept: now,
-            last_enqueued: None,
-            last_cmd_wait: Duration::ZERO,
-            span_queue_wait: Duration::ZERO,
-            parked_pending: false,
-            span_doc_bytes: 0,
-            pending_span: None,
-            response_span: None,
+            classify: Duration::ZERO,
+            applied: now,
+            job: None,
         }
     }
 
-    /// Pin this session's metrics attribution to worker shard `shard`
-    /// (set by the owning worker at channel open so per-shard docs sum to
-    /// the global counter).
-    pub fn set_shard(&mut self, shard: usize) {
-        self.shard = shard;
+    /// Pin this session to worker shard `shard` and its channel identity
+    /// (set by the owning worker at channel open): per-shard docs then sum
+    /// to the global counter, and derived trace ids name the channel.
+    /// An unattached session (a unit test driving one directly) counts
+    /// globally only.
+    pub fn attach(&mut self, shard: usize, conn: u64, channel: u16) {
+        self.record.shard = u16::try_from(shard).unwrap_or(u16::MAX);
+        self.record.conn = conn;
+        self.record.channel = channel;
     }
 
-    /// Accumulate queue-wait observed for one of this session's commands
-    /// (stamped at shard-enqueue by the reactor, measured at dequeue by
-    /// the worker). Folded into the queue-wait histogram when the current
-    /// document latches.
-    pub fn note_queue_wait(&mut self, wait: Duration) {
-        self.queue_wait += wait;
-        self.span_queue_wait += wait;
-        self.last_cmd_wait = wait;
+    /// Note the shard-enqueue stamp of the command about to be applied,
+    /// and whether the reactor parked it (its shard queue was full). The
+    /// worker calls this before [`Session::apply`]; a session driven
+    /// directly treats each command as enqueued at its `now`.
+    pub fn note_job(&mut self, enqueued: Instant, parked: bool) {
+        self.job = Some((enqueued, parked));
     }
 
-    /// Attach the span plane and this session's channel identity (set by
-    /// the owning worker at channel open, alongside [`Session::set_shard`]).
-    pub fn set_trace(&mut self, set: Arc<SpanSet>, conn: u64, channel: u16) {
-        self.trace = Some(set);
-        self.conn_id = conn;
-        self.channel = channel;
-    }
-
-    /// Record the shard-enqueue stamp of the command about to be applied.
-    /// A Size consumes it as its document's span accept edge, so the span
-    /// covers the same interval the queue-wait histogram measures.
-    pub fn note_enqueued(&mut self, enqueued: Instant) {
-        self.last_enqueued = Some(enqueued);
-    }
-
-    /// Note that the command about to be applied had been parked by the
-    /// reactor (its shard queue was full). Mid-document this annotates
-    /// the current span; between documents it arms the next one.
-    pub fn note_parked(&mut self) {
-        if self.trace.is_none() {
-            return;
-        }
-        if self.busy() {
-            self.span_flags |= SPAN_PARKED;
-        } else {
-            self.parked_pending = true;
-        }
-    }
-
-    /// Annotate the current document's span with a fault code (first
-    /// annotation wins; see [`crate::trace::fault_name`]). Fault-annotated
-    /// spans force-sample regardless of the 1-in-N decision.
+    /// Annotate the current document's record with a fault code (first
+    /// annotation wins; see [`crate::trace::fault_name`]). A faulted
+    /// record is always kept by the span plane.
     pub fn trace_fault(&mut self, code: u8) {
-        if self.trace.is_none() {
-            return;
+        if self.record.fault == 0 {
+            self.record.fault = code;
         }
-        if self.span_fault == 0 {
-            self.span_fault = code;
-        }
-        self.span_flags |= SPAN_FAULT;
+        self.record.flags |= SPAN_FAULT;
     }
 
-    /// Take the span riding the response the caller just obtained from
-    /// [`Session::apply`] or [`Session::tick`]. The sender completes it
-    /// with the measured drain time when the response bytes flush.
-    pub fn take_response_span(&mut self) -> Option<PendingSpan> {
-        self.response_span.take()
+    /// A copy of the current document's stage record: the one the
+    /// response just obtained from [`Session::apply`] or [`Session::tick`]
+    /// answers, for the sender to carry to its flush.
+    pub fn record(&self) -> SpanRecord {
+        self.record
+    }
+
+    /// The record of the document a worker panic poisoned, annotated as an
+    /// engine fault and closed at `now`. `size` is the panicked command's
+    /// announced bytes and trace context when it was a Size: with no
+    /// document in flight that Size began the poisoned document, so its
+    /// record is started here. Otherwise the record is the in-flight (or
+    /// last) document's.
+    pub fn poisoned_record(
+        &mut self,
+        size: Option<(u32, Option<u64>)>,
+        now: Instant,
+    ) -> SpanRecord {
+        if let Some((bytes, trace)) = size.filter(|_| !self.busy()) {
+            let (enqueued, parked) = self.job.take().unwrap_or((now, false));
+            self.begin(trace, bytes, parked, enqueued, now);
+        }
+        self.seal_fault(ErrorCode::EngineFault as u8, now);
+        self.record
     }
 
     /// Whether a document transfer is in flight.
@@ -237,7 +199,8 @@ impl Session {
 
     /// Apply one command; returns the response to send, if any. Only
     /// `QueryResult` and faults produce responses — data flow is silent,
-    /// like the register interface.
+    /// like the register interface. `now` is when the worker dequeued the
+    /// command.
     pub fn apply(
         &mut self,
         classifier: &MultiLanguageClassifier,
@@ -245,6 +208,18 @@ impl Session {
         cmd: WireCommand,
         now: Instant,
     ) -> Option<WireResponse> {
+        let (enqueued, parked) = self.job.take().unwrap_or((now, false));
+        if self.busy() {
+            // A later frame of the in-flight document. Frames queued
+            // together wait over the same interval; charging each only
+            // from when its predecessor finished keeps the waits disjoint.
+            self.queue_wait += now.saturating_duration_since(enqueued.max(self.applied));
+            self.applied = now;
+        }
+        // A parked frame marks its own document: a Size the one it begins.
+        if parked && !matches!(cmd, WireCommand::Size { .. }) {
+            self.record.flags |= SPAN_PARKED;
+        }
         match cmd {
             WireCommand::Size {
                 words,
@@ -252,16 +227,15 @@ impl Session {
                 trace,
             } => {
                 if self.busy() {
-                    return Some(self.fault(metrics, ErrorCode::SizeWhileBusy, String::new()));
+                    return Some(self.fault(metrics, ErrorCode::SizeWhileBusy, String::new(), now));
                 }
                 // A fresh announcement re-arms a draining session.
                 self.state = State::Idle;
-                self.doc_started = now;
                 self.last_activity = now;
                 self.checksum = 0;
-                self.begin_span(trace, bytes, now);
+                self.begin(trace, bytes, parked, enqueued, now);
                 if words == 0 {
-                    self.latch(metrics, 0, now);
+                    self.latch(metrics, now);
                 } else {
                     self.state = State::Receiving {
                         expected_words: words,
@@ -286,7 +260,7 @@ impl Session {
                 } => {
                     let detail = format!("{received_words}/{expected_words} words");
                     self.abort_document();
-                    Some(self.fault(metrics, ErrorCode::TruncatedTransfer, detail))
+                    Some(self.fault(metrics, ErrorCode::TruncatedTransfer, detail, now))
                 }
             },
             WireCommand::QueryResult => {
@@ -296,18 +270,13 @@ impl Session {
                     return None;
                 }
                 match self.latched.take() {
-                    Some(l) => {
-                        // The latched document's span leaves with its
-                        // result; drain is measured at that flush.
-                        self.response_span = self.pending_span.take();
-                        Some(WireResponse::Result {
-                            counts: l.result.counts().to_vec(),
-                            total_ngrams: l.result.total_ngrams(),
-                            checksum: l.checksum,
-                            valid: l.valid,
-                        })
-                    }
-                    None => Some(self.fault(metrics, ErrorCode::NoResult, String::new())),
+                    Some(l) => Some(WireResponse::Result {
+                        counts: l.result.counts().to_vec(),
+                        total_ngrams: l.result.total_ngrams(),
+                        checksum: l.checksum,
+                        valid: l.valid,
+                    }),
+                    None => Some(self.fault(metrics, ErrorCode::NoResult, String::new(), now)),
                 }
             }
             WireCommand::Reset => {
@@ -334,8 +303,7 @@ impl Session {
         if !self.busy() || now.duration_since(self.last_activity) <= self.watchdog {
             return None;
         }
-        self.trace_fault(ErrorCode::WatchdogReset as u8);
-        self.seal_fault_span(now);
+        self.seal_fault(ErrorCode::WatchdogReset as u8, now);
         self.abort_document();
         self.latched = None;
         metrics
@@ -372,6 +340,7 @@ impl Session {
                 metrics,
                 ErrorCode::UnexpectedDma,
                 "data with no Size announcement".into(),
+                now,
             ));
         };
         if u64::from(received_words) + n_words > u64::from(expected_words) {
@@ -381,7 +350,7 @@ impl Session {
                 u64::from(received_words) + n_words
             );
             self.abort_document();
-            return Some(self.fault(metrics, ErrorCode::UnexpectedDma, detail));
+            return Some(self.fault(metrics, ErrorCode::UnexpectedDma, detail, now));
         }
         self.last_activity = now;
 
@@ -422,12 +391,14 @@ impl Session {
             }
         }
         debug_assert_eq!(word_off, 0, "payload is whole words");
-        self.classify_time += classify_started.elapsed();
+        let fed = Instant::now();
+        self.classify += fed - classify_started;
+        self.applied = fed;
 
         let received_words = received_words + n_words as u32;
         if received_words == expected_words {
             self.state = State::Idle;
-            self.latch(metrics, doc_bytes, now);
+            self.latch(metrics, fed);
         } else {
             self.state = State::Receiving {
                 expected_words,
@@ -439,33 +410,28 @@ impl Session {
         None
     }
 
-    /// End-of-transfer: classify, latch, and account — total latency plus
-    /// the queue-wait and classify stage accumulators, which reset here
-    /// for the next document (an EoD/Query frame's own queue-wait smears
-    /// into the following document; bounded by two frames and accepted).
-    fn latch(&mut self, metrics: &ServiceMetrics, doc_bytes: u32, now: Instant) {
-        let finish_started = Instant::now();
+    /// End-of-transfer: finish the classification and latch the result,
+    /// closing the record's stages on a clock read taken after `finish`
+    /// (started at `finish_started`) and recording the document.
+    fn latch(&mut self, metrics: &ServiceMetrics, finish_started: Instant) {
         let result = self.stream.finish();
-        self.classify_time += finish_started.elapsed();
-        metrics.record_document(
-            result.best(),
-            u64::from(doc_bytes),
-            result.total_ngrams(),
-            self.shard,
-            DocTimings {
-                total: now.duration_since(self.doc_started),
-                queue_wait: self.queue_wait,
-                classify: self.classify_time,
-            },
-        );
-        self.seal_span(now);
-        self.queue_wait = Duration::ZERO;
-        self.classify_time = Duration::ZERO;
+        let latched = Instant::now();
+        self.classify += latched.saturating_duration_since(finish_started);
+        self.close_record(latched);
+        metrics.record_document(result.best(), result.total_ngrams(), &self.record);
         self.latched = Some(LatchedResult {
             result,
             checksum: self.checksum,
             valid: true,
         });
+    }
+
+    /// Write the stage accumulators into the record, closing its
+    /// end-to-end interval at `end`.
+    fn close_record(&mut self, end: Instant) {
+        self.record.total_us = micros(end.saturating_duration_since(self.accept));
+        self.record.queue_us = micros(self.queue_wait);
+        self.record.classify_us = micros(self.classify);
     }
 
     /// Drop any in-flight document (keeps the latch unless the caller
@@ -474,11 +440,6 @@ impl Session {
     fn reset_document(&mut self) {
         self.state = State::Idle;
         self.checksum = 0;
-        self.queue_wait = Duration::ZERO;
-        self.classify_time = Duration::ZERO;
-        // A latched-but-unqueried span dies with its document — it never
-        // reaches the drain edge, just like the response it described.
-        self.pending_span = None;
         let _ = self.stream.finish();
     }
 
@@ -490,108 +451,71 @@ impl Session {
         self.state = State::Draining;
     }
 
-    fn fault(&mut self, metrics: &ServiceMetrics, code: ErrorCode, detail: String) -> WireResponse {
+    fn fault(
+        &mut self,
+        metrics: &ServiceMetrics,
+        code: ErrorCode,
+        detail: String,
+        now: Instant,
+    ) -> WireResponse {
         metrics
             .protocol_errors
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.trace_fault(code as u8);
-        self.seal_fault_span(Instant::now());
+        self.seal_fault(code as u8, now);
         WireResponse::Error { code, detail }
     }
 
-    /// Arm the next document's span at its Size frame: derive or adopt
-    /// the trace id, take the head-sampling decision once, and pin the
-    /// accept edge to the Size command's shard-enqueue stamp (falling
-    /// back to `now` when driven without a worker in front).
-    fn begin_span(&mut self, client_trace: Option<u64>, bytes: u32, now: Instant) {
-        let Some(set) = &self.trace else { return };
-        self.doc_seq = self.doc_seq.wrapping_add(1);
-        self.span_flags = 0;
-        self.span_fault = 0;
-        self.span_doc_bytes = bytes;
-        self.trace_id = match client_trace {
-            Some(id) => {
-                self.span_flags |= SPAN_CLIENT_CONTEXT;
-                id
-            }
-            None => derive_trace_id(self.conn_id, self.channel, self.doc_seq),
-        };
-        self.span_armed = set.armed(self.trace_id);
-        if self.span_armed {
-            self.span_flags |= SPAN_SAMPLED;
-        }
-        if std::mem::take(&mut self.parked_pending) {
-            self.span_flags |= SPAN_PARKED;
-        }
-        self.span_accept = self.last_enqueued.take().unwrap_or(now);
-        // Only the Size's own wait belongs to this document; waits of the
-        // previous document's EoD/Query frames accrued since the last
-        // reset and are discarded here.
-        self.span_queue_wait = self.last_cmd_wait;
-        self.last_cmd_wait = Duration::ZERO;
-        self.pending_span = None;
+    /// A fault response takes the document's response slot, so its record
+    /// leaves on the error: annotate it and close it at `now`.
+    fn seal_fault(&mut self, code: u8, now: Instant) {
+        self.trace_fault(code);
+        self.close_record(now);
     }
 
-    /// Assemble the current document's span. Everything but drain is
-    /// final here; the record waits in `pending_span` for the response
-    /// that completes the document. Not captured unless sampled, fault-
-    /// annotated, or slower than the `--trace-slow-us` threshold.
-    fn seal_span(&mut self, now: Instant) {
-        let Some(set) = &self.trace else { return };
-        let queue_us = self.span_queue_wait.as_micros() as u64;
-        let classify_us = self.classify_time.as_micros() as u64;
-        // Stage accumulators and the end-to-end edges come from separate
-        // clock reads; directly-driven sessions (unit tests hand `apply`
-        // one fixed Instant) can skew them. Clamp so the disjoint-stages
-        // invariant (queue + classify + drain ≤ total) holds by
-        // construction.
-        let total_us = (now.saturating_duration_since(self.span_accept).as_micros() as u64)
-            .max(queue_us + classify_us);
-        if set.slow_us() != 0 && total_us > set.slow_us() {
-            self.span_flags |= SPAN_SLOW;
+    /// Start the next document's record at its Size frame: a fresh
+    /// sequence number, the client's trace id or a derived one, and the
+    /// accept edge at the Size's shard-enqueue stamp.
+    fn begin(
+        &mut self,
+        client_trace: Option<u64>,
+        bytes: u32,
+        parked: bool,
+        accept: Instant,
+        now: Instant,
+    ) {
+        let doc_seq = self.record.doc_seq.wrapping_add(1);
+        let mut flags = if parked { SPAN_PARKED } else { 0 };
+        if client_trace.is_some() {
+            flags |= SPAN_CLIENT_CONTEXT;
         }
-        if !self.span_armed && self.span_flags & (SPAN_FAULT | SPAN_SLOW) == 0 {
-            return;
-        }
-        let record = SpanRecord {
-            trace_id: self.trace_id,
-            conn: self.conn_id,
-            channel: self.channel,
-            shard: if self.shard == usize::MAX {
-                u16::MAX
-            } else {
-                self.shard as u16
-            },
-            doc_seq: self.doc_seq,
-            flags: self.span_flags,
-            fault: self.span_fault,
-            doc_bytes: self.span_doc_bytes,
-            end_ns: 0,
-            total_us,
-            queue_us,
-            classify_us,
-            drain_us: 0,
+        let SpanRecord {
+            conn,
+            channel,
+            shard,
+            ..
+        } = self.record;
+        self.record = SpanRecord {
+            trace_id: client_trace.unwrap_or_else(|| derive_trace_id(conn, channel, doc_seq)),
+            conn,
+            channel,
+            shard,
+            doc_seq,
+            flags,
+            doc_bytes: bytes,
+            ..SpanRecord::default()
         };
-        self.pending_span = Some(PendingSpan::new(record, Arc::clone(set)));
-    }
-
-    /// A fault response consumed the document's response slot, so its
-    /// span leaves on the error: seal immediately and stage it for the
-    /// caller's `take_response_span`. (Document-aborting arms reset the
-    /// stage accumulators first — a fault span's identity, site, and
-    /// end-to-end time are what matter.)
-    fn seal_fault_span(&mut self, now: Instant) {
-        if self.trace.is_none() {
-            return;
-        }
-        self.seal_span(now);
-        self.response_span = self.pending_span.take();
+        self.accept = accept;
+        self.queue_wait = now.saturating_duration_since(accept);
+        self.classify = Duration::ZERO;
+        self.applied = now;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::latency_bucket;
+    use crate::trace::{SpanSet, SPAN_SLOW};
     use lc_bloom::BloomParams;
     use lc_core::ClassifierBuilder;
     use lc_ngram::NGramSpec;
@@ -870,17 +794,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_document_emits_span_on_its_result() {
+    fn document_record_rides_its_result() {
         let c = classifier();
         let m = ServiceMetrics::new(c.num_languages());
-        let set = Arc::new(SpanSet::new(1, 0, 1));
         let mut s = Session::new(&c, Duration::from_secs(1), Instant::now());
-        s.set_shard(0);
-        s.set_trace(Arc::clone(&set), 11, 3);
+        s.attach(0, 11, 3);
         let doc = b"the quick brown fox jumps over the lazy dog";
         let words = pack_words(doc);
         let now = Instant::now();
-        s.note_enqueued(now);
+        s.note_job(now, false);
         assert_eq!(
             s.apply(
                 &c,
@@ -895,32 +817,31 @@ mod tests {
             s.apply(&c, &m, WireCommand::QueryResult, now),
             Some(WireResponse::Result { .. })
         ));
-        let span = s
-            .take_response_span()
-            .expect("sampled span rides the result");
-        span.finish(Duration::from_micros(7));
-        let spans = set.drain();
-        assert_eq!(spans.len(), 1);
-        let r = spans[0];
+        let r = s.record();
         assert_eq!(r.trace_id, derive_trace_id(11, 3, 1));
         assert_eq!(r.conn, 11);
         assert_eq!(r.channel, 3);
         assert_eq!(r.shard, 0);
         assert_eq!(r.doc_seq, 1);
-        assert_ne!(r.flags & SPAN_SAMPLED, 0);
+        assert_eq!(r.flags, 0, "sampling is decided at the flush");
         assert_eq!(r.fault, 0);
         assert_eq!(r.doc_bytes, doc.len() as u32);
-        assert_eq!(r.drain_us, 7);
-        assert!(r.queue_us + r.classify_us + r.drain_us <= r.total_us);
+        assert!(r.queue_us + r.classify_us <= r.total_us);
+        // The histograms read the same record.
+        let snap = m.snapshot();
+        assert_eq!(snap.bytes, doc.len() as u64);
+        assert_eq!(
+            snap.latency[latency_bucket(Duration::from_micros(r.total_us))],
+            1
+        );
     }
 
     #[test]
     fn client_trace_context_is_adopted() {
         let c = classifier();
         let m = ServiceMetrics::new(2);
-        let set = Arc::new(SpanSet::new(1, 0, 1));
         let mut s = Session::new(&c, Duration::from_secs(1), Instant::now());
-        s.set_trace(Arc::clone(&set), 1, 0);
+        s.attach(0, 1, 0);
         let doc = b"the fox";
         let words = pack_words(doc);
         let now = Instant::now();
@@ -932,20 +853,17 @@ mod tests {
         );
         s.apply(&c, &m, WireCommand::data_words(&words), now);
         s.apply(&c, &m, WireCommand::QueryResult, now);
-        s.take_response_span().unwrap().finish(Duration::ZERO);
-        let r = set.drain()[0];
+        let r = s.record();
         assert_eq!(r.trace_id, 0xDEAD_BEEF);
         assert_ne!(r.flags & SPAN_CLIENT_CONTEXT, 0);
     }
 
     #[test]
-    fn fault_spans_force_sample_and_name_the_site() {
+    fn fault_records_name_the_site_and_are_always_kept() {
         let c = classifier();
         let m = ServiceMetrics::new(2);
-        // Head sampling off: only the fault forces capture.
-        let set = Arc::new(SpanSet::new(0, 0, 1));
         let mut s = Session::new(&c, Duration::from_secs(1), Instant::now());
-        s.set_trace(Arc::clone(&set), 5, 1);
+        s.attach(0, 5, 1);
         let now = Instant::now();
         s.apply(&c, &m, WireCommand::size(100, 800), now);
         s.apply(&c, &m, WireCommand::data_words(&[1, 2, 3]), now);
@@ -956,23 +874,23 @@ mod tests {
                 ..
             })
         ));
-        let span = s.take_response_span().expect("fault span rides the error");
-        span.finish(Duration::ZERO);
-        let r = set.drain()[0];
+        let r = s.record();
         assert_eq!(r.fault, ErrorCode::TruncatedTransfer as u8);
         assert_ne!(r.flags & SPAN_FAULT, 0);
-        assert_eq!(r.flags & SPAN_SAMPLED, 0);
         assert_eq!(crate::trace::fault_name(r.fault), "truncated-transfer");
+        // Head sampling and the slow threshold off: the fault alone keeps it.
+        let set = SpanSet::new(0, 0, 1);
+        set.finish(r, Duration::ZERO);
+        assert_eq!(set.drain()[0].trace_id, r.trace_id);
     }
 
     #[test]
-    fn slow_documents_force_sample_past_the_threshold() {
+    fn late_documents_are_kept_as_slow() {
         let c = classifier();
         let m = ServiceMetrics::new(2);
-        let set = Arc::new(SpanSet::new(0, 1_000, 1));
-        let t0 = Instant::now();
+        let set = SpanSet::new(0, 1_000, 1);
+        let t0 = Instant::now() - Duration::from_millis(50);
         let mut s = Session::new(&c, Duration::from_secs(10), t0);
-        s.set_trace(Arc::clone(&set), 2, 0);
         let doc = b"the quick brown fox";
         let words = pack_words(doc);
         s.apply(
@@ -981,18 +899,71 @@ mod tests {
             WireCommand::size(words.len() as u32, doc.len() as u32),
             t0,
         );
-        let late = t0 + Duration::from_millis(50);
-        s.apply(&c, &m, WireCommand::data_words(&words), late);
-        s.apply(&c, &m, WireCommand::QueryResult, late);
-        s.take_response_span().unwrap().finish(Duration::ZERO);
+        s.apply(&c, &m, WireCommand::data_words(&words), Instant::now());
+        s.apply(&c, &m, WireCommand::QueryResult, Instant::now());
+        set.finish(s.record(), Duration::ZERO);
         let r = set.drain()[0];
         assert_ne!(r.flags & SPAN_SLOW, 0);
         assert!(r.total_us >= 50_000);
         // An on-time document with sampling off leaves no span.
         let done = send_doc(&mut s, &c, &m, doc);
         assert!(done.valid);
-        assert!(s.take_response_span().is_none());
+        set.finish(s.record(), Duration::ZERO);
         assert!(set.drain().is_empty());
+    }
+
+    #[test]
+    fn latency_latches_after_the_classify_it_contains() {
+        // The whole multi-millisecond document rides one Data frame, and
+        // each command gets a fresh clock read as its dequeue stamp, as in
+        // the worker: the end-to-end bucket cannot sit below the classify
+        // bucket it contains.
+        let c = classifier();
+        let m = ServiceMetrics::new(c.num_languages());
+        let mut s = Session::new(&c, Duration::from_secs(60), Instant::now());
+        let doc: Vec<u8> = b"the quick brown fox jumps over the lazy dog "
+            .iter()
+            .copied()
+            .cycle()
+            .take(256 << 10)
+            .collect();
+        let words = pack_words(&doc);
+        let size = WireCommand::size(words.len() as u32, doc.len() as u32);
+        assert_eq!(s.apply(&c, &m, size, Instant::now()), None);
+        let data = WireCommand::data_words(&words);
+        assert_eq!(s.apply(&c, &m, data, Instant::now()), None);
+        let snap = m.snapshot();
+        let bucket = |h: &[u64]| h.iter().position(|&n| n == 1).expect("one document");
+        assert!(bucket(&snap.classify) > 0, "classify must outlast 100 µs");
+        assert!(
+            bucket(&snap.latency) >= bucket(&snap.classify),
+            "latency {:?} below classify {:?}",
+            snap.latency,
+            snap.classify
+        );
+    }
+
+    #[test]
+    fn frames_queued_together_do_not_share_their_wait() {
+        // Size and Data enqueued at one stamp, both dequeued 20 ms later:
+        // the Data frame's wait counts only from the Size's apply, so the
+        // stages fit inside the end-to-end time with no correction.
+        let c = classifier();
+        let m = ServiceMetrics::new(2);
+        let enqueued = Instant::now() - Duration::from_millis(20);
+        let mut s = Session::new(&c, Duration::from_secs(60), enqueued);
+        let doc = b"the quick brown fox jumps over the lazy dog";
+        let words = pack_words(doc);
+        s.note_job(enqueued, false);
+        let size = WireCommand::size(words.len() as u32, doc.len() as u32);
+        s.apply(&c, &m, size, Instant::now());
+        s.note_job(enqueued, false);
+        s.apply(&c, &m, WireCommand::data_words(&words), Instant::now());
+        let wall = micros(enqueued.elapsed());
+        let r = s.record();
+        assert!(r.queue_us >= 20_000, "{r:?}");
+        assert!(r.queue_us + r.classify_us <= r.total_us, "{r:?}");
+        assert!(r.total_us <= wall, "{r:?} spans more than {wall} µs");
     }
 
     #[test]

@@ -5,21 +5,24 @@
 //! cannot: *what happened to this document* (trace spans) and *what
 //! changed over the last two minutes* (history ring).
 //!
-//! **Spans.** Every document gets a `trace_id` — client-supplied via the
-//! wire-v2 TraceContext extension on its Size frame (so a balancer tier
-//! can propagate its own id across the hop), or derived from
-//! `(conn, channel, doc_seq)` with the same splitmix64 finalizer the
-//! shard hash uses. Under head-based sampling (`--trace-sample N` keeps
-//! 1-in-N; 0 disables) the session assembles a [`SpanRecord`] from the
-//! timestamps the metrics path already takes — accept (the Size frame's
-//! shard-enqueue stamp), queue-wait, classify, and the outbound flush
-//! stamp for drain — so a sampled-off server pays one branch per
-//! document, nothing more. Chaos-injected faults and documents slower
-//! than `--trace-slow-us` force-sample themselves regardless of the
-//! sampling decision: the interesting documents are exactly the ones a
-//! 1-in-N coin flip would usually miss.
+//! **Spans.** Every document gets one [`SpanRecord`], its stage record,
+//! built by its session on one set of clock edges: accept (the Size
+//! frame's shard-enqueue stamp), queue wait (its own frames only),
+//! classify, latch (a clock read after the classifier's `finish`), and
+//! drain (the flush of its response). The same record feeds the stage
+//! histograms at latch ([`crate::ServiceMetrics::record_document`]) and
+//! its drain at flush ([`SpanSet::finish`]), so a span and the
+//! histograms never disagree about a document. Each document gets a
+//! `trace_id` — client-supplied via the wire-v2 TraceContext extension
+//! on its Size frame (so a balancer tier can propagate its own id across
+//! the hop), or derived from `(conn, channel, doc_seq)` with the same
+//! splitmix64 finalizer the shard hash uses. Sampling decides only which
+//! records are kept: head-based 1-in-N (`--trace-sample N`; 0, the
+//! default, keeps none), every document slower than `--trace-slow-us`,
+//! and every faulted document, whatever the flags — the interesting
+//! documents are exactly the ones a 1-in-N coin flip would usually miss.
 //!
-//! Completed spans land in a bounded per-shard buffer ([`SpanSet`]),
+//! Kept spans land in a bounded per-shard buffer ([`SpanSet`]),
 //! newest-wins: a full buffer drops its *oldest* record so a live
 //! `lcbloom trace --follow` always sees current traffic. Spans leave the
 //! server via `GetStats(detail=2)` as their own tag/len section — old
@@ -101,11 +104,11 @@ pub fn derive_trace_id(conn: u64, channel: u16, doc_seq: u32) -> u64 {
     x
 }
 
-/// One document's completed trace span: identity, where it ran, why it
-/// was captured, and the stage decomposition. Stage times are disjoint
-/// sub-intervals of the span, so `queue_us + classify_us + drain_us ≤
-/// total_us` always holds (the CI trace-smoke asserts it on every
-/// dumped span).
+/// One document's stage record: identity, where it ran, why it was
+/// captured, and the stage decomposition. Stage times are disjoint
+/// sub-intervals of the document's life, so `queue_us + classify_us +
+/// drain_us ≤ total_us` always holds (the CI trace-smoke asserts it on
+/// every dumped span).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The document's trace id (client-propagated or derived).
@@ -127,14 +130,17 @@ pub struct SpanRecord {
     /// When the span completed, in nanoseconds since the span plane's
     /// epoch (orders spans across shards in a dump).
     pub end_ns: u64,
-    /// End-to-end time: Size accepted at its shard queue → result bytes
-    /// flushed into the socket, in microseconds.
+    /// End-to-end time in microseconds: Size accepted at its shard queue
+    /// → result latched (what the `latency` histogram records), plus
+    /// `drain_us` once the response flushed.
     pub total_us: u64,
-    /// Time the document's command frames spent queued for their shard.
+    /// Time the document's command frames spent queued for their shard,
+    /// each frame after the first counted only from when the previous
+    /// one finished applying.
     pub queue_us: u64,
     /// Time feeding payload bytes through the classifier.
     pub classify_us: u64,
-    /// Result latched → response bytes flushed into the socket.
+    /// Response enqueued → response bytes flushed into the socket.
     pub drain_us: u64,
 }
 
@@ -144,10 +150,10 @@ fn unpoisoned<'a, T: ?Sized>(
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The span plane: the sampling policy plus one bounded completed-span
-/// buffer per worker shard. Created only when tracing is on
-/// (`--trace-sample` or `--trace-slow-us`); a server without it carries
-/// `None` and pays nothing.
+/// The span plane: the capture policy plus one bounded kept-span buffer
+/// per worker shard. Every server has one (inside its
+/// [`crate::ServiceMetrics`]); with head sampling and the slow threshold
+/// both off it keeps only faulted documents.
 #[derive(Debug)]
 pub struct SpanSet {
     sample: u32,
@@ -167,36 +173,44 @@ impl SpanSet {
             slow_us,
             epoch: Instant::now(),
             buffers: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::with_capacity(SPAN_BUFFER)))
+                .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
             captured: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// The head-sampling rate (1-in-N; 0 = off).
-    pub fn sample(&self) -> u32 {
-        self.sample
-    }
-
-    /// The slow-outlier force-sample threshold in µs (0 = off).
-    pub fn slow_us(&self) -> u64 {
-        self.slow_us
-    }
-
-    /// Head-based sampling decision for a trace id, made at Size time.
+    /// Head-based sampling decision for a trace id.
     pub fn armed(&self, trace_id: u64) -> bool {
         self.sample != 0 && trace_id.is_multiple_of(u64::from(self.sample))
     }
 
     /// Nanoseconds since this span plane's epoch (stamps `end_ns`).
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The flush edge of a document's record: fold the measured drain
+    /// into it, then keep it if it was head-sampled, slower than the
+    /// slow threshold end to end, or fault-annotated.
+    pub fn finish(&self, mut record: SpanRecord, drain: Duration) {
+        record.drain_us = drain.as_micros() as u64;
+        record.total_us += record.drain_us;
+        if self.armed(record.trace_id) {
+            record.flags |= SPAN_SAMPLED;
+        }
+        if self.slow_us != 0 && record.total_us > self.slow_us {
+            record.flags |= SPAN_SLOW;
+        }
+        if record.flags & (SPAN_SAMPLED | SPAN_SLOW | SPAN_FAULT) != 0 {
+            record.end_ns = self.now_ns();
+            self.push(record);
+        }
     }
 
     /// Deposit a completed span into its shard's buffer, evicting the
     /// oldest record when full (live tracing wants the newest traffic).
-    pub fn push(&self, record: SpanRecord) {
+    fn push(&self, record: SpanRecord) {
         let i = (record.shard as usize).min(self.buffers.len() - 1);
         let mut buf = unpoisoned(self.buffers[i].lock());
         if buf.len() >= SPAN_BUFFER {
@@ -227,36 +241,6 @@ impl SpanSet {
     /// Spans evicted unread because a shard buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// A span waiting for its drain stage: everything but `drain_us` is
-/// final, and the record rides the outbound queue alongside the flush
-/// stamp of the response it describes. `finish` runs when the reactor
-/// observes those bytes flushed — the one place the real drain time
-/// exists — completing the record and depositing it. A pending span
-/// dropped unfinished (its connection died before the flush) is simply
-/// lost; its document never got its response either.
-#[derive(Debug)]
-pub struct PendingSpan {
-    record: SpanRecord,
-    set: std::sync::Arc<SpanSet>,
-}
-
-impl PendingSpan {
-    /// A span complete except for its drain stage.
-    pub fn new(record: SpanRecord, set: std::sync::Arc<SpanSet>) -> Self {
-        Self { record, set }
-    }
-
-    /// Complete the span with its measured drain time and deposit it.
-    pub fn finish(mut self, drain: Duration) {
-        let us = drain.as_micros() as u64;
-        self.record.drain_us = us;
-        self.record.total_us += us;
-        self.record.end_ns = self.set.now_ns();
-        let set = std::sync::Arc::clone(&self.set);
-        set.push(self.record);
     }
 }
 
@@ -394,7 +378,6 @@ impl Default for HistoryRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn derived_ids_are_stable_and_spread() {
@@ -437,33 +420,51 @@ mod tests {
     }
 
     #[test]
-    fn pending_span_finishes_with_drain_folded_into_total() {
-        let set = Arc::new(SpanSet::new(1, 0, 2));
+    fn finish_folds_drain_into_total_and_keeps_only_captured_records() {
+        // Head sampling off, 1 ms slow threshold: only slow or faulted
+        // records are kept.
+        let set = SpanSet::new(0, 1_000, 2);
         let record = SpanRecord {
             trace_id: 42,
             shard: 1,
-            total_us: 100,
+            total_us: 990,
             queue_us: 30,
             classify_us: 50,
             ..SpanRecord::default()
         };
-        PendingSpan::new(record, Arc::clone(&set)).finish(Duration::from_micros(25));
+        set.finish(record, Duration::from_micros(5));
+        assert!(set.drain().is_empty(), "995 µs is not slow");
+        set.finish(record, Duration::from_micros(25));
         let spans = set.drain();
         assert_eq!(spans.len(), 1);
         let s = spans[0];
         assert_eq!(s.drain_us, 25);
-        assert_eq!(s.total_us, 125);
+        assert_eq!(s.total_us, 1_015);
+        assert_eq!(s.flags, SPAN_SLOW, "the drain made it slow");
         assert!(s.queue_us + s.classify_us + s.drain_us <= s.total_us);
-        assert!(s.end_ns > 0);
+        let faulted = SpanRecord {
+            flags: SPAN_FAULT,
+            ..record
+        };
+        set.finish(faulted, Duration::ZERO);
+        assert_eq!(set.drain()[0].flags, SPAN_FAULT);
+        let sampled = SpanSet::new(1, 0, 1);
+        sampled.finish(record, Duration::ZERO);
+        assert_eq!(sampled.drain()[0].flags, SPAN_SAMPLED);
+        assert_eq!(set.captured(), 2);
     }
 
     #[test]
     fn history_slot_rates_come_from_measured_intervals() {
-        use crate::metrics::{DocTimings, ServiceMetrics};
+        use crate::metrics::ServiceMetrics;
         let m = ServiceMetrics::with_topology(vec!["en".into()], 2);
         let prev = m.snapshot();
+        let doc = SpanRecord {
+            doc_bytes: 2048,
+            ..SpanRecord::default()
+        };
         for _ in 0..500 {
-            m.record_document(0, 2048, 100, 0, DocTimings::default());
+            m.record_document(0, 100, &doc);
         }
         let cur = m.snapshot();
         let slot = HistorySlot::delta(&prev, &cur, 1, Duration::from_millis(500));

@@ -56,7 +56,7 @@ use crate::chaos::{FaultPlan, FaultSite};
 use crate::metrics::ServiceMetrics;
 use crate::outbound::ResponseSink;
 use crate::session::Session;
-use crate::trace::{derive_trace_id, SpanRecord, SpanSet, FAULT_WORKER_DELAY, SPAN_FAULT};
+use crate::trace::FAULT_WORKER_DELAY;
 
 /// Respawn budget per pool: far above anything a real incident produces,
 /// low enough that a deterministic crash loop (a panic on the very job
@@ -92,13 +92,12 @@ impl ChannelKey {
     }
 }
 
-/// One unit of work for a worker. The *watchdog/latency* clock is stamped
-/// by the worker at application, not by the reactor at read: the watchdog
-/// and the end-to-end histogram then measure what the engine observes, and
-/// a command that waited out a queue backlog cannot carry a stale clock
-/// that makes its own healthy session look watchdog-dead. Commands also
-/// carry the reactor's *enqueue* stamp, used only for the queue-wait stage
-/// histogram (dequeue time minus enqueue time).
+/// One unit of work for a worker. The *watchdog* clock is the worker's
+/// dequeue stamp, not the reactor's read: a command that waited out a
+/// queue backlog cannot carry a stale clock that makes its own healthy
+/// session look watchdog-dead. Commands also carry the reactor's
+/// *enqueue* stamp: a Size's is its document's accept edge, and each
+/// frame's dequeue minus enqueue is its queue wait.
 #[derive(Debug)]
 pub enum Job {
     /// Register a channel session and its response sink.
@@ -151,37 +150,41 @@ struct PoolRuntime {
     watchdog: Duration,
     tick: Duration,
     chaos: Option<Arc<FaultPlan>>,
-    trace: Option<Arc<SpanSet>>,
 }
 
 impl PoolRuntime {
-    /// A fresh session pinned (for metrics attribution) to `shard`, with
-    /// the span plane and channel identity attached when tracing is on.
+    /// A fresh session attached to `shard` and the channel `key`.
     fn fresh_session(&self, shard: usize, key: ChannelKey) -> Session {
         let mut s = Session::new(&self.classifier, self.watchdog, Instant::now());
-        s.set_shard(shard);
-        if let Some(set) = &self.trace {
-            s.set_trace(Arc::clone(set), key.conn, key.channel);
-        }
+        s.attach(shard, key.conn, key.channel);
         s
     }
 
-    /// A panic unwound mid-apply, taking the document's session (and its
-    /// span state) with it: deposit a bare engine-fault span so the
-    /// poisoned document still shows up force-sampled in a trace dump.
-    fn push_panic_span(&self, shard: usize, key: ChannelKey) {
-        if let Some(set) = &self.trace {
-            set.push(SpanRecord {
-                trace_id: derive_trace_id(key.conn, key.channel, 0),
-                conn: key.conn,
-                channel: key.channel,
-                shard: shard as u16,
-                flags: SPAN_FAULT,
-                fault: ErrorCode::EngineFault as u8,
-                end_ns: set.now_ns(),
-                ..SpanRecord::default()
-            });
-        }
+    /// A panic unwound mid-apply: the session state is unknowable. Copy
+    /// the poisoned document's record out (`size`: see
+    /// [`Session::poisoned_record`]), replace the session with a
+    /// quarantined one, and answer the document in its slot with an
+    /// `EngineFault` carrying that record.
+    fn replace_poisoned(
+        &self,
+        shard: usize,
+        key: ChannelKey,
+        s: &mut Session,
+        sink: &ResponseSink,
+        size: Option<(u32, Option<u64>)>,
+        detail: &str,
+    ) {
+        let record = s.poisoned_record(size, Instant::now());
+        let mut fresh = self.fresh_session(shard, key);
+        fresh.quarantine();
+        *s = fresh;
+        sink.send(
+            &WireResponse::Error {
+                code: ErrorCode::EngineFault,
+                detail: detail.into(),
+            },
+            record,
+        );
     }
 }
 
@@ -253,19 +256,21 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                         parked,
                     } => {
                         if let Some((s, sink)) = sessions.get_mut(&key) {
-                            s.note_enqueued(enqueued);
-                            s.note_queue_wait(dequeued.duration_since(enqueued));
-                            if parked {
-                                s.note_parked();
-                            }
+                            s.note_job(enqueued, parked);
                             if let Some(plan) = &rt.chaos {
                                 if plan.fire(FaultSite::WorkerDelay) {
                                     std::thread::sleep(plan.worker_delay());
                                     // The document still classifies; the
-                                    // annotation force-samples its span.
+                                    // annotation keeps its span.
                                     s.trace_fault(FAULT_WORKER_DELAY);
                                 }
                             }
+                            // A Size that panics still names the document
+                            // it began.
+                            let size = match &cmd {
+                                WireCommand::Size { bytes, trace, .. } => Some((*bytes, *trace)),
+                                _ => None,
+                            };
                             *unpoisoned(shard.current.lock()) = Some(key);
                             let applied = catch_unwind(AssertUnwindSafe(|| {
                                 if let Some(plan) = &rt.chaos {
@@ -274,7 +279,7 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                         panic!("chaos: injected worker panic");
                                     }
                                 }
-                                s.apply(&rt.classifier, &rt.metrics, cmd, Instant::now())
+                                s.apply(&rt.classifier, &rt.metrics, cmd, dequeued)
                             }));
                             *unpoisoned(shard.current.lock()) = None;
                             if let Some(sc) = rt.metrics.shard(shard.index) {
@@ -284,23 +289,18 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                 );
                             }
                             match applied {
-                                Ok(Some(resp)) => sink.send_traced(&resp, s.take_response_span()),
+                                Ok(Some(resp)) => sink.send(&resp, s.record()),
                                 Ok(None) => {}
                                 Err(_) => {
-                                    // The panic unwound mid-apply: the
-                                    // session state is unknowable. Replace
-                                    // it, quarantined, and answer the
-                                    // poisoned document in its slot.
                                     rt.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                                    rt.push_panic_span(shard.index, key);
-                                    let mut fresh = rt.fresh_session(shard.index, key);
-                                    fresh.quarantine();
-                                    *s = fresh;
-                                    sink.send(&WireResponse::Error {
-                                        code: ErrorCode::EngineFault,
-                                        detail: "worker panicked mid-document; session reset"
-                                            .into(),
-                                    });
+                                    rt.replace_poisoned(
+                                        shard.index,
+                                        key,
+                                        s,
+                                        sink,
+                                        size,
+                                        "worker panicked mid-document; session reset",
+                                    );
                                 }
                             }
                         }
@@ -331,7 +331,7 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
             let mut sessions = unpoisoned(shard.sessions.lock());
             for (s, sink) in sessions.values_mut() {
                 if let Some(resp) = s.tick(&rt.metrics, now) {
-                    sink.send_traced(&resp, s.take_response_span());
+                    sink.send(&resp, s.record());
                 }
             }
         }
@@ -368,14 +368,14 @@ fn supervise(
         if let Some(key) = unpoisoned(shard.current.lock()).take() {
             let mut sessions = unpoisoned(shard.sessions.lock());
             if let Some((s, sink)) = sessions.get_mut(&key) {
-                rt.push_panic_span(index, key);
-                let mut fresh = rt.fresh_session(index, key);
-                fresh.quarantine();
-                *s = fresh;
-                sink.send(&WireResponse::Error {
-                    code: ErrorCode::EngineFault,
-                    detail: "worker thread died mid-document; shard respawned".into(),
-                });
+                rt.replace_poisoned(
+                    index,
+                    key,
+                    s,
+                    sink,
+                    None,
+                    "worker thread died mid-document; shard respawned",
+                );
             }
         }
         respawns += 1;
@@ -419,7 +419,6 @@ impl WorkerPool {
         queue_depth: usize,
         watchdog: Duration,
         chaos: Option<Arc<FaultPlan>>,
-        trace: Option<Arc<SpanSet>>,
     ) -> std::io::Result<Self> {
         assert!(workers >= 1, "need at least one worker");
         // Sweep often enough for a timely watchdog: the tick granularity
@@ -431,7 +430,6 @@ impl WorkerPool {
             watchdog,
             tick,
             chaos,
-            trace,
         });
         let (obituary_tx, obituary_rx) = channel();
         let mut senders = Vec::with_capacity(workers);

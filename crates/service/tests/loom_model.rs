@@ -18,9 +18,9 @@
 
 #![cfg(loom)]
 
-use lc_service::metrics::{DocTimings, ServiceMetrics};
+use lc_service::metrics::ServiceMetrics;
 use lc_service::ring::{EventRing, RingTag, RING_ENTRIES};
-use lc_service::{high_water_op, MaskOp};
+use lc_service::{high_water_op, MaskOp, SpanRecord};
 use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use loom::sync::Arc;
 use std::collections::HashSet;
@@ -116,6 +116,15 @@ fn concurrent_dump_is_never_silently_wrong() {
     assert!(RING_ENTRIES >= 4, "model ring too small for two records");
 }
 
+/// A 10-byte document latched on shard 1.
+fn shard1_doc() -> SpanRecord {
+    SpanRecord {
+        doc_bytes: 10,
+        shard: 1,
+        ..SpanRecord::default()
+    }
+}
+
 /// The documented cross-counter invariant: because `record_document`
 /// increments the global `documents` before the owning shard's `docs`,
 /// and `snapshot` reads the shards before the globals, the shard sum can
@@ -133,7 +142,7 @@ fn shard_docs_never_exceed_documents() {
         let writer = {
             let m = Arc::clone(&m);
             loom::thread::spawn(move || {
-                m.record_document(0, 10, 5, 1, DocTimings::default());
+                m.record_document(0, 5, &shard1_doc());
             })
         };
         let snap = m.snapshot();
@@ -168,7 +177,7 @@ fn inverted_snapshot_read_order_fails_the_model() {
             let writer = {
                 let m = Arc::clone(&m);
                 loom::thread::spawn(move || {
-                    m.record_document(0, 10, 5, 1, DocTimings::default());
+                    m.record_document(0, 5, &shard1_doc());
                 })
             };
             // Broken read order: global counter first, shards second.

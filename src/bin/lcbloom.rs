@@ -100,8 +100,9 @@ fn print_usage() {
          `stats` asks a live server for its metrics snapshot over the wire (--watch\n\
          repeats every SECS, with server-side rates from the history ring; --ring\n\
          also dumps the --trace-ring flight recorders). `trace` drains the server's\n\
-         sampled per-document spans (serve --trace-sample N / --trace-slow-us T) and\n\
-         renders a stage waterfall per span; --follow polls until interrupted. `top`\n\
+         per-document spans (faulted documents always; sampled and slow ones with\n\
+         serve --trace-sample N / --trace-slow-us T) and renders a stage waterfall\n\
+         per span; --follow polls until interrupted. `top`\n\
          renders sparkline rate tables from the server's history ring.\n\
          `--timing` prints p50/p95/p99 in the server's latency buckets; for `query`\n\
          the times come from server-side sampled spans, so the batch stays pipelined.\n\
@@ -448,8 +449,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         },
         trace_ring: flags.contains_key("trace-ring"),
         // --trace-sample N samples every Nth document's span (1 = all,
-        // 0 = off); faults and --trace-slow-us stragglers are always
-        // captured once any tracing (or chaos) is on.
+        // 0 = off) and --trace-slow-us adds the stragglers; faulted
+        // documents are always captured.
         trace_sample: parse_num(&flags, "trace-sample", defaults.trace_sample)?,
         trace_slow_us: parse_num(&flags, "trace-slow-us", defaults.trace_slow_us)?,
         history_interval: std::time::Duration::from_millis(parse_num(
@@ -831,7 +832,7 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
     }
     if !snap.spans.is_empty() {
         println!(
-            "spans: {} sampled span(s) drained (render with `lcbloom trace`)",
+            "spans: {} span(s) drained (render with `lcbloom trace`)",
             snap.spans.len()
         );
     }
@@ -879,8 +880,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("fetching spans from {addr}: {e}"))?;
         if snap.spans.is_empty() && !follow {
             println!(
-                "no sampled spans (server --trace-sample off, or none captured since the \
-                 last drain)"
+                "no spans (no document faulted, was sampled or ran slow since the last \
+                 drain)"
             );
             return Ok(());
         }

@@ -7,9 +7,10 @@
 
 use lcbloom::prelude::*;
 use lcbloom::service::{
-    fault_name, serve, ChaosConfig, ServiceConfig, FAULT_WORKER_DELAY, SPAN_CLIENT_CONTEXT,
-    SPAN_FAULT, SPAN_SAMPLED,
+    fault_name, serve, ChaosConfig, ClientError, FaultPlan, FaultSite, ServiceConfig,
+    FAULT_WORKER_DELAY, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_SAMPLED,
 };
+use lcbloom::wire::ErrorCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,15 +165,10 @@ fn chaos_faulted_documents_are_force_sampled_naming_the_site() {
     server.shutdown();
 }
 
-#[test]
-fn protocol_faults_surface_spans_naming_the_site() {
-    // Spans exist but head sampling keeps (almost) nothing: only the
-    // fault path can explain a surfaced span.
-    let server = start(ServiceConfig {
-        workers: 2,
-        trace_sample: u32::MAX,
-        ..ServiceConfig::default()
-    });
+/// A truncated transfer answered by a server started with `config` must
+/// surface exactly one fault span, naming the site.
+fn assert_protocol_fault_spans(config: ServiceConfig) {
+    let server = start(config);
     let docs = test_docs();
     let mut client = ClassifyClient::connect(server.addr()).expect("connect");
     // Size promises 64 bytes, EoD arrives after none: TruncatedTransfer.
@@ -199,6 +195,77 @@ fn protocol_faults_surface_spans_naming_the_site() {
         .collect();
     assert_eq!(faulted.len(), 1, "exactly the truncated document spans");
     assert_eq!(fault_name(faulted[0].fault), "truncated-transfer");
+    server.shutdown();
+}
+
+#[test]
+fn protocol_faults_surface_spans_naming_the_site() {
+    // Head sampling keeps (almost) nothing: only the fault path can
+    // explain a surfaced span.
+    assert_protocol_fault_spans(ServiceConfig {
+        workers: 2,
+        trace_sample: u32::MAX,
+        ..ServiceConfig::default()
+    });
+}
+
+#[test]
+fn protocol_faults_surface_spans_with_default_tracing() {
+    // No sampling, no slow threshold, no chaos: faulted documents still
+    // get their span.
+    assert_protocol_fault_spans(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+}
+
+#[test]
+fn worker_panic_span_carries_the_documents_client_trace_id() {
+    // Pick the seed whose first four worker-panic draws are
+    // (no, yes, no, no): on one worker serving one client, the Size
+    // applies, the Data frame panics mid-document, and the quarantined
+    // session discards the EoD and Query without panicking again.
+    let seed = (0u64..)
+        .find(|&seed| {
+            let plan = FaultPlan::new(ChaosConfig {
+                seed,
+                worker_panic: 0.5,
+                ..ChaosConfig::default()
+            });
+            let draws: Vec<bool> = (0..4).map(|_| plan.fire(FaultSite::WorkerPanic)).collect();
+            draws == [false, true, false, false]
+        })
+        .expect("a seed with that draw pattern");
+    let server = start(ServiceConfig {
+        workers: 1,
+        chaos: Some(ChaosConfig {
+            seed,
+            worker_panic: 0.5,
+            ..ChaosConfig::default()
+        }),
+        ..ServiceConfig::default()
+    });
+    let docs = test_docs();
+    let mut client = ClassifyClient::connect(server.addr()).expect("connect");
+    client.set_trace_context(Some(0xFEED_FACE_CAFE_F00D));
+    match client.classify(&docs[0]) {
+        Err(ClientError::Remote { code, .. }) => assert_eq!(code, ErrorCode::EngineFault),
+        other => panic!("expected EngineFault, got {other:?}"),
+    }
+
+    let snap = client.stats(2).expect("stats detail=2");
+    assert_eq!(snap.worker_panics, 1);
+    let panicked: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| fault_name(s.fault) == "engine-fault")
+        .collect();
+    assert_eq!(panicked.len(), 1, "spans: {:?}", snap.spans);
+    let s = panicked[0];
+    assert_eq!(s.trace_id, 0xFEED_FACE_CAFE_F00D, "{s:?}");
+    assert_ne!(s.flags & SPAN_CLIENT_CONTEXT, 0, "{s:?}");
+    assert_eq!(s.doc_seq, 1, "{s:?}");
+    assert_eq!(s.doc_bytes as usize, docs[0].len(), "{s:?}");
     server.shutdown();
 }
 
