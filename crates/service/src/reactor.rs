@@ -39,7 +39,7 @@
 //!   while other connections on the same reactor keep flowing.
 
 use lc_reactor::{Epoll, Events, Interest, WriteBuf};
-use lc_wire::{ErrorCode, FrameAccumulator, WireCommand, WireResponse};
+use lc_wire::{ErrorCode, Fill, FrameAccumulator, WireCommand, WireResponse};
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::TcpStream;
@@ -117,10 +117,20 @@ struct Conn {
     /// the first frame a channel sends; a v1 client only ever has
     /// channel 0 here.
     channels: HashMap<u16, Channel>,
-    /// Edge-triggered readiness flags: set by events, cleared on
-    /// `WouldBlock`.
+    /// Edge-triggered readiness flags: set by events. `read_ready` is
+    /// cleared on `WouldBlock` or on a short read — a stream-socket read
+    /// that returns less than it was offered has emptied the receive
+    /// queue (epoll(7)), and the next byte to arrive raises a new edge —
+    /// except once `peer_closed`. Caveat: TCP urgent data also stops a
+    /// read short, at the urgent mark, with bytes still queued behind it;
+    /// the protocol never sends urgent data, and a peer that does stalls
+    /// only its own connection until its next segment.
     read_ready: bool,
     write_ready: bool,
+    /// An event reported the peer closed its write half (`EPOLLRDHUP` or
+    /// `EPOLLHUP`). No edge follows the FIN, so from here on short reads
+    /// do not stop reading: the pump reads on to EOF.
+    peer_closed: bool,
     /// `EPOLLIN` is currently masked because the outbound queue crossed
     /// the high-water mark.
     in_masked: bool,
@@ -352,6 +362,7 @@ impl Reactor {
                     // A half-close is discovered by reading to EOF.
                     c.read_ready = true;
                 }
+                c.peer_closed |= ev.closed;
                 if ev.writable {
                     c.write_ready = true;
                 }
@@ -490,6 +501,7 @@ impl Reactor {
                 channels: HashMap::new(),
                 read_ready: true,
                 write_ready: true,
+                peer_closed: false,
                 in_masked: false,
                 over_since: None,
                 stalled: VecDeque::new(),
@@ -661,12 +673,15 @@ impl Reactor {
     /// more while the socket has bytes. A frame for an unseen channel
     /// opens it: the channel is entered into the table, hashed to its
     /// shard, and a `Job::Open` precedes the command on that shard's
-    /// queue. Stops at `WouldBlock` (clearing `read_ready`), a full shard
-    /// queue (parking jobs in `stalled`), a masked `EPOLLIN`, EOF, or the
-    /// per-pass fairness budget — a firehose peer on loopback can stay
-    /// readable indefinitely, and its reactor siblings must still get
-    /// serviced (`read_ready` stays set, so the next loop iteration
-    /// resumes right here). `false` means tear down.
+    /// queue. Stops at a short read or `WouldBlock` (clearing
+    /// `read_ready`; a short read decodes what it got first, and does not
+    /// stop a connection whose peer closed — see `Conn::read_ready`), a
+    /// full shard queue (parking jobs in `stalled`), a masked `EPOLLIN`,
+    /// EOF, or the per-pass fairness budget — a firehose peer on loopback
+    /// can stay readable indefinitely, and its reactor siblings must
+    /// still get serviced (`read_ready` stays set, so the next loop
+    /// iteration resumes right here). A peer sending one document at a
+    /// time costs one read per document. `false` means tear down.
     fn pump(&mut self, conn: u64) -> bool {
         let Self {
             metrics,
@@ -984,7 +999,7 @@ impl Reactor {
             };
             metrics.read_syscalls.fetch_add(1, Ordering::Relaxed);
             match c.acc.fill_from(&mut c.stream, cap) {
-                Ok(0) => {
+                Ok(Fill { bytes: 0, .. }) => {
                     // Clean close — unless it cut a frame in half.
                     if c.acc.mid_frame() {
                         metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -992,11 +1007,18 @@ impl Reactor {
                     c.read_eof = true;
                     break;
                 }
-                Ok(n) => {
+                Ok(Fill { bytes, short }) => {
                     if let Some(r) = ring {
-                        r.record(RingTag::Read, n as u64);
+                        r.record(RingTag::Read, bytes as u64);
                     }
-                    budget = budget.saturating_sub(n);
+                    budget = budget.saturating_sub(bytes);
+                    // The receive queue is empty: decode what arrived and
+                    // wait for the next edge instead of reading again into
+                    // `WouldBlock`. A chaos clamp the read filled is not
+                    // short.
+                    if short && !c.peer_closed {
+                        c.read_ready = false;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     c.read_ready = false;

@@ -186,6 +186,12 @@ impl Session {
         matches!(self.state, State::Receiving { .. })
     }
 
+    /// Whether the session is discarding the leftover frames of a
+    /// document whose response slot a fault already took.
+    pub fn draining(&self) -> bool {
+        self.state == State::Draining
+    }
+
     /// Put a *fresh* session straight into the draining state. Used when a
     /// worker panic poisoned the previous session mid-document: the
     /// `EngineFault` the worker sends took that document's response slot,

@@ -33,7 +33,8 @@
 //!    replaced (quarantined into the draining state so the poisoned
 //!    document's leftover frames are discarded) and the client gets a
 //!    channel-tagged `EngineFault` response in that document's slot
-//!    (`worker_panics`).
+//!    (`worker_panics`) — unless the document already has its one
+//!    response (the panic hit a frame the quarantine was discarding).
 //! 2. *Shard respawn.* The shard's sessions map and job receiver live
 //!    outside the thread (in `ShardState`, shared `Arc`s), so if a
 //!    panic ever escapes the guard the thread dies but the shard's state
@@ -139,7 +140,35 @@ struct ShardState {
     index: usize,
     sessions: Mutex<HashMap<ChannelKey, (Session, ResponseSink)>>,
     rx: Mutex<Receiver<Job>>,
-    current: Mutex<Option<ChannelKey>>,
+    current: Mutex<Option<InFlight>>,
+}
+
+/// The command a shard is applying, as much of it as a panic needs.
+#[derive(Clone, Copy, Debug)]
+struct InFlight {
+    key: ChannelKey,
+    /// The command's document is still owed its response
+    /// ([`owes_response`]).
+    owed: bool,
+    /// The announced bytes and trace context when the command is a Size
+    /// (see [`Session::poisoned_record`]).
+    size: Option<(u32, Option<u64>)>,
+}
+
+/// Whether a panic applying `cmd` to `s` must be answered with an
+/// `EngineFault`: exactly when the panicking command's document is still
+/// owed its one response. A Size begins a new document, so it always is.
+/// A draining session's frames belong to a document that was already
+/// answered (a fault or watchdog notice took its slot), and a Reset has
+/// no response slot at all: a fault for either would be a second answer,
+/// and the client, pairing responses in FIFO order per channel, would
+/// hand it to the next document.
+fn owes_response(s: &Session, cmd: &WireCommand) -> bool {
+    match cmd {
+        WireCommand::Size { .. } => true,
+        WireCommand::Reset => false,
+        _ => !s.draining(),
+    }
 }
 
 /// Everything a shard thread (or its respawn) needs, shared pool-wide.
@@ -160,31 +189,34 @@ impl PoolRuntime {
         s
     }
 
-    /// A panic unwound mid-apply: the session state is unknowable. Copy
-    /// the poisoned document's record out (`size`: see
-    /// [`Session::poisoned_record`]), replace the session with a
-    /// quarantined one, and answer the document in its slot with an
-    /// `EngineFault` carrying that record.
+    /// A panic unwound mid-apply of `in_flight`: the session state is
+    /// unknowable. Replace the session with a quarantined one. When the
+    /// document is owed a response, copy its record out and answer it in
+    /// its slot with an `EngineFault` carrying that record; otherwise its
+    /// one response is already out, and the quarantine is silent.
     fn replace_poisoned(
         &self,
         shard: usize,
-        key: ChannelKey,
+        in_flight: InFlight,
         s: &mut Session,
         sink: &ResponseSink,
-        size: Option<(u32, Option<u64>)>,
         detail: &str,
     ) {
-        let record = s.poisoned_record(size, Instant::now());
-        let mut fresh = self.fresh_session(shard, key);
+        let record = in_flight
+            .owed
+            .then(|| s.poisoned_record(in_flight.size, Instant::now()));
+        let mut fresh = self.fresh_session(shard, in_flight.key);
         fresh.quarantine();
         *s = fresh;
-        sink.send(
-            &WireResponse::Error {
-                code: ErrorCode::EngineFault,
-                detail: detail.into(),
-            },
-            record,
-        );
+        if let Some(record) = record {
+            sink.send(
+                &WireResponse::Error {
+                    code: ErrorCode::EngineFault,
+                    detail: detail.into(),
+                },
+                record,
+            );
+        }
     }
 }
 
@@ -267,11 +299,17 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                             }
                             // A Size that panics still names the document
                             // it began.
-                            let size = match &cmd {
-                                WireCommand::Size { bytes, trace, .. } => Some((*bytes, *trace)),
-                                _ => None,
+                            let in_flight = InFlight {
+                                key,
+                                owed: owes_response(s, &cmd),
+                                size: match &cmd {
+                                    WireCommand::Size { bytes, trace, .. } => {
+                                        Some((*bytes, *trace))
+                                    }
+                                    _ => None,
+                                },
                             };
-                            *unpoisoned(shard.current.lock()) = Some(key);
+                            *unpoisoned(shard.current.lock()) = Some(in_flight);
                             let applied = catch_unwind(AssertUnwindSafe(|| {
                                 if let Some(plan) = &rt.chaos {
                                     if plan.fire(FaultSite::WorkerPanic) {
@@ -295,10 +333,9 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                     rt.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                                     rt.replace_poisoned(
                                         shard.index,
-                                        key,
+                                        in_flight,
                                         s,
                                         sink,
-                                        size,
                                         "worker panicked mid-document; session reset",
                                     );
                                 }
@@ -363,17 +400,16 @@ fn supervise(
         rt.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
         let shard = &shards[index];
         // If an apply was in flight when the thread died, that document's
-        // session is poisoned and its client is owed a response: same
-        // quarantine-and-fault treatment as the in-thread guard.
-        if let Some(key) = unpoisoned(shard.current.lock()).take() {
+        // session is poisoned: same quarantine treatment as the in-thread
+        // guard, with a fault only if the document is still owed one.
+        if let Some(in_flight) = unpoisoned(shard.current.lock()).take() {
             let mut sessions = unpoisoned(shard.sessions.lock());
-            if let Some((s, sink)) = sessions.get_mut(&key) {
+            if let Some((s, sink)) = sessions.get_mut(&in_flight.key) {
                 rt.replace_poisoned(
                     index,
-                    key,
+                    in_flight,
                     s,
                     sink,
-                    None,
                     "worker thread died mid-document; shard respawned",
                 );
             }

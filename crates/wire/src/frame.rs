@@ -794,8 +794,21 @@ pub fn read_frame_mux<R: Read>(r: &mut R) -> io::Result<Option<(u8, u16, Vec<u8>
     Ok(Some((kind, channel, payload)))
 }
 
-/// One refcounted chunk of the accumulator's rope. `buf` is fully
-/// pre-zeroed at allocation; `start..filled` is the live window.
+/// What one [`FrameAccumulator::fill_from`] read did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fill {
+    /// Bytes read; 0 is EOF.
+    pub bytes: usize,
+    /// The read returned fewer bytes than it was offered room for. On a
+    /// stream socket that means the kernel's receive queue is empty (see
+    /// epoll(7)), so an edge-triggered reader can wait for the next edge
+    /// instead of reading again into `WouldBlock`.
+    pub short: bool,
+}
+
+/// One refcounted chunk of the accumulator's rope. `start..filled` is the
+/// live window; bytes past `filled` are zeroed at allocation or stale
+/// from before a rewind, and are never read before a fill overwrites them.
 #[derive(Debug)]
 struct Chunk {
     buf: Arc<Vec<u8>>,
@@ -818,8 +831,11 @@ impl Chunk {
 /// hands completed payloads out as [`PayloadBytes`] — `Arc` views into the
 /// chunks the bytes already live in, **zero copies per frame**. A chunk
 /// stays alive (pinned by the `Arc`) until every payload segment into it is
-/// dropped; once a payload has been handed out of a chunk, new bytes go to
-/// a fresh chunk rather than mutating the shared one. The legacy
+/// dropped; new bytes never go into a chunk a payload still shares. The
+/// rope keeps its fully consumed tail chunk, so once the last payload out
+/// of it drops (the worker finished the document) the next fill rewinds
+/// and reuses it: a peer sending one document at a time allocates nothing
+/// in the steady state. The legacy
 /// [`FrameAccumulator::next_frame`] copies payloads out as `Vec`s and
 /// counts those copies, so the zero-copy property is *observable*:
 /// [`FrameAccumulator::payload_copies`] over [`FrameAccumulator::data_frames`]
@@ -876,20 +892,30 @@ impl FrameAccumulator {
         self.chunks.iter().map(Chunk::pending).sum()
     }
 
-    /// Make sure the tail chunk can accept new bytes: it must exist, have
-    /// spare capacity, and be uniquely owned (no payload handed out of it).
+    /// Make sure the tail chunk can accept new bytes: it must exist, be
+    /// uniquely owned (no payload handed out of it is still alive), and
+    /// have spare capacity. A consumed tail that is unique again is
+    /// rewound in place; one a payload still shares is dropped from the
+    /// rope (the payload keeps it alive) and replaced.
     fn ensure_writable(&mut self) {
-        let reusable = match self.chunks.back_mut() {
-            Some(c) => c.filled < c.buf.len() && Arc::get_mut(&mut c.buf).is_some(),
-            None => false,
-        };
-        if !reusable {
-            self.chunks.push_back(Chunk {
-                buf: Arc::new(vec![0u8; self.chunk_size]),
-                start: 0,
-                filled: 0,
-            });
+        if let Some(tail) = self.chunks.back_mut() {
+            if Arc::get_mut(&mut tail.buf).is_some() {
+                if tail.pending() == 0 {
+                    tail.start = 0;
+                    tail.filled = 0;
+                }
+                if tail.filled < tail.buf.len() {
+                    return;
+                }
+            } else if tail.pending() == 0 {
+                self.chunks.pop_back();
+            }
         }
+        self.chunks.push_back(Chunk {
+            buf: Arc::new(vec![0u8; self.chunk_size]),
+            start: 0,
+            filled: 0,
+        });
     }
 
     /// Append freshly received bytes (copying API for pushed inputs; the
@@ -909,18 +935,20 @@ impl FrameAccumulator {
 
     /// Read up to `max` bytes from `r` directly into the rope's tail chunk
     /// — the bytes land where payload segments will point, so Data frames
-    /// reach workers without ever being copied. Returns the byte count
-    /// from `r.read` (0 = EOF; may be less than `max` when the tail chunk
-    /// has less spare room — callers loop anyway); read errors (including
-    /// timeouts) leave the buffer unchanged.
-    pub fn fill_from<R: Read>(&mut self, r: &mut R, max: usize) -> io::Result<usize> {
+    /// reach workers without ever being copied. The read is offered the
+    /// smaller of `max` and the tail chunk's spare room; [`Fill`] reports
+    /// the byte count from `r.read` (0 = EOF) and whether it fell short of
+    /// that offer. Read errors (including timeouts) leave the buffer
+    /// unchanged.
+    pub fn fill_from<R: Read>(&mut self, r: &mut R, max: usize) -> io::Result<Fill> {
         self.ensure_writable();
         let chunk = self.chunks.back_mut().expect("ensure_writable pushed one");
         let buf = Arc::get_mut(&mut chunk.buf).expect("tail chunk is unique");
         let end = buf.len().min(chunk.filled + max);
         let n = r.read(&mut buf[chunk.filled..end])?;
+        let short = chunk.filled + n < end;
         chunk.filled += n;
-        Ok(n)
+        Ok(Fill { bytes: n, short })
     }
 
     /// Copy the first `out.len()` buffered bytes into `out` without
@@ -940,23 +968,11 @@ impl FrameAccumulator {
         false
     }
 
-    /// Drop fully consumed chunks; a uniquely owned tail chunk is rewound
-    /// for reuse instead (steady state allocates nothing).
+    /// Drop fully consumed chunks ahead of the tail. The tail chunk stays,
+    /// even while payloads still share it: [`FrameAccumulator::fill_from`]
+    /// rewinds it once they drop, so the steady state allocates nothing.
     fn trim(&mut self) {
-        while let Some(front) = self.chunks.front() {
-            if front.pending() > 0 {
-                break;
-            }
-            if self.chunks.len() == 1 {
-                let only = self.chunks.front_mut().expect("len checked");
-                if Arc::get_mut(&mut only.buf).is_some() {
-                    only.start = 0;
-                    only.filled = 0;
-                } else {
-                    self.chunks.pop_front();
-                }
-                break;
-            }
+        while self.chunks.len() > 1 && self.chunks.front().is_some_and(|c| c.pending() == 0) {
             self.chunks.pop_front();
         }
     }
@@ -1349,7 +1365,7 @@ mod tests {
         // Tiny reads split frames arbitrarily.
         let mut frames = Vec::new();
         loop {
-            let n = acc.fill_from(&mut reader, 3).unwrap();
+            let n = acc.fill_from(&mut reader, 3).unwrap().bytes;
             while let Some((k, p)) = acc.next_frame().unwrap() {
                 frames.push(WireCommand::decode(k, p).unwrap());
             }
@@ -1419,7 +1435,7 @@ mod tests {
         let mut acc = FrameAccumulator::with_chunk_size(64);
         let mut reader = buf.as_slice();
         loop {
-            let n = acc.fill_from(&mut reader, 64).unwrap();
+            let n = acc.fill_from(&mut reader, 64).unwrap().bytes;
             if n == 0 {
                 break;
             }
@@ -1453,6 +1469,80 @@ mod tests {
         assert!(
             acc.chunks.len() <= 1,
             "dropped payloads must let the rope rewind, not grow"
+        );
+    }
+
+    #[test]
+    fn rope_keeps_a_shared_tail_chunk_and_reuses_it_once_the_payload_drops() {
+        // The service pattern: a worker still holds the Data payload when
+        // the reader's pass ends, and releases it before the next
+        // document arrives. The rope must wait for it, not replace it.
+        let frame = |round: u64| {
+            let mut buf = Vec::new();
+            WireCommand::data_words(&[round; 16])
+                .encode_on(1, &mut buf)
+                .unwrap();
+            buf
+        };
+        let mut acc = FrameAccumulator::with_chunk_size(4096);
+        let first = frame(1);
+        let fill = acc.fill_from(&mut first.as_slice(), 4096).unwrap();
+        assert_eq!(fill.bytes, first.len());
+        assert!(fill.short, "the reader held less than the room offered");
+        let (_, _, held) = acc.next_frame_mux().unwrap().unwrap();
+        assert!(!acc.mid_frame());
+        assert_eq!(acc.chunks.len(), 1, "the consumed tail chunk stays");
+        let chunk = Arc::as_ptr(&acc.chunks[0].buf);
+        assert_eq!(chunk, Arc::as_ptr(&held.pieces[0].buf));
+        drop(held);
+        let second = frame(2);
+        let fill = acc.fill_from(&mut second.as_slice(), 4096).unwrap();
+        assert_eq!(fill.bytes, second.len());
+        assert_eq!(acc.chunks.len(), 1, "one chunk in the rope");
+        assert_eq!(
+            Arc::as_ptr(&acc.chunks[0].buf),
+            chunk,
+            "the consumed tail chunk must be rewound and reused"
+        );
+        let (_, _, p) = acc.next_frame_mux().unwrap().unwrap();
+        assert_eq!(p.to_vec(), [2u64.to_le_bytes(); 16].concat());
+    }
+
+    #[test]
+    fn fill_is_short_only_below_the_room_it_offered() {
+        let bytes = [7u8; 100];
+        let mut acc = FrameAccumulator::with_chunk_size(64);
+        let mut reader = bytes.as_slice();
+        // A clamp the reader fills is not short, nor is a read that fills
+        // the chunk's spare room below the clamp.
+        assert_eq!(
+            acc.fill_from(&mut reader, 10).unwrap(),
+            Fill {
+                bytes: 10,
+                short: false
+            }
+        );
+        assert_eq!(
+            acc.fill_from(&mut reader, 1000).unwrap(),
+            Fill {
+                bytes: 54,
+                short: false
+            }
+        );
+        // A fresh chunk offers 64 bytes; 36 remain.
+        assert_eq!(
+            acc.fill_from(&mut reader, 1000).unwrap(),
+            Fill {
+                bytes: 36,
+                short: true
+            }
+        );
+        assert_eq!(
+            acc.fill_from(&mut reader, 1000).unwrap(),
+            Fill {
+                bytes: 0,
+                short: true
+            }
         );
     }
 

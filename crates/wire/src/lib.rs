@@ -28,6 +28,6 @@ pub mod frame;
 pub use dma::{pack_words, xor_checksum};
 pub use frame::{
     read_frame, read_frame_mux, write_data_frame, write_data_frame_on, write_frame, write_frame_on,
-    ErrorCode, FrameAccumulator, FrameError, PayloadBytes, WireCommand, WireResponse, CHANNEL_FLAG,
-    MAX_FRAME_PAYLOAD,
+    ErrorCode, Fill, FrameAccumulator, FrameError, PayloadBytes, WireCommand, WireResponse,
+    CHANNEL_FLAG, MAX_FRAME_PAYLOAD,
 };

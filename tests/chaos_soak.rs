@@ -258,6 +258,74 @@ fn doc_burst(doc: &[u8], copies: usize) -> Vec<u8> {
 }
 
 #[test]
+fn worker_panics_answer_each_pipelined_document_exactly_once() {
+    // A panic can hit any frame of a document, including the Data, EoD
+    // and Query frames a quarantined session discards after the document
+    // was already answered with a fault. Each document must still get
+    // exactly one response: a second fault would shift every later
+    // response on the channel onto the wrong document.
+    const DOCS: usize = 200;
+    let c = classifier();
+    let server = serve(
+        Arc::clone(&c),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                worker_panic: 0.1,
+                ..ChaosConfig::default()
+            }),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("bind localhost");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (kind, payload) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(
+        WireResponse::decode(kind, &payload).unwrap(),
+        WireResponse::Hello { .. }
+    ));
+    let doc = b"the committee shall deliver its opinion on the draft measures";
+    let expected = c.classify(doc);
+    stream.write_all(&doc_burst(doc, DOCS)).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let (mut results, mut faults) = (0usize, 0usize);
+    while let Some((kind, payload)) = read_frame(&mut stream).expect("responses, then EOF") {
+        match WireResponse::decode(kind, &payload).unwrap() {
+            WireResponse::Result {
+                counts,
+                total_ngrams,
+                valid,
+                ..
+            } => {
+                assert!(valid);
+                assert_eq!(ClassificationResult::new(counts, total_ngrams), expected);
+                results += 1;
+            }
+            WireResponse::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::EngineFault);
+                faults += 1;
+            }
+            other => panic!("expected Result or EngineFault, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        results + faults,
+        DOCS,
+        "{results} results + {faults} faults for {DOCS} documents"
+    );
+    let snap = server.shutdown();
+    assert!(
+        snap.worker_panics > faults as u64,
+        "some panics must have hit frames of already-answered documents: {snap:?}"
+    );
+}
+
+#[test]
 fn drain_under_load_finishes_in_flight_and_sheds_new_work() {
     // SIGTERM's code path, exercised directly: in-flight documents
     // complete with correct results, documents submitted after the drain

@@ -1179,3 +1179,87 @@ fn reactor_loop_counters_move_under_traffic() {
     );
     server.shutdown();
 }
+
+/// Read one response frame and check it is `doc`'s correct result.
+fn expect_result(stream: &mut TcpStream, c: &MultiLanguageClassifier, doc: &[u8]) {
+    let (kind, payload) = read_frame(stream).unwrap().expect("result before EOF");
+    match WireResponse::decode(kind, &payload).unwrap() {
+        WireResponse::Result {
+            counts,
+            total_ngrams,
+            valid,
+            ..
+        } => {
+            assert!(valid);
+            assert_eq!(
+                ClassificationResult::new(counts, total_ngrams),
+                c.classify(doc)
+            );
+        }
+        other => panic!("expected Result, got {other:?}"),
+    }
+}
+
+#[test]
+fn one_document_at_a_time_costs_one_read_each() {
+    // Each document arrives in one write and is answered before the next
+    // is sent. The read that takes it in comes back short of the buffer,
+    // which empties the socket: the reactor must wait for the next edge
+    // rather than read again into WouldBlock.
+    const DOCS: u64 = 200;
+    let c = classifier();
+    let server = start(1, Duration::from_secs(5));
+    let mut stream = raw_conn(server.addr());
+    let doc = b"the committee shall deliver its opinion on the draft measures";
+    let burst = doc_burst(doc, 1);
+    for _ in 0..DOCS {
+        stream.write_all(&burst).unwrap();
+        expect_result(&mut stream, &c, doc);
+    }
+    let snap = server.metrics().snapshot();
+    assert_eq!(snap.documents, DOCS);
+    assert!(
+        snap.read_syscalls as f64 / DOCS as f64 <= 1.1,
+        "{} reads for {DOCS} documents",
+        snap.read_syscalls
+    );
+    assert_eq!(snap.payload_copies, 0, "the Data path must be zero-copy");
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn burst_with_fin_is_read_to_eof_at_any_read_size() {
+    // Documents plus the FIN in one burst: the last read before EOF comes
+    // back short, but no edge follows a FIN that already arrived, so the
+    // reactor must read on to EOF once the peer closed. At 512 bytes the
+    // burst also takes many full reads before the short one.
+    const DOCS: usize = 100;
+    let c = classifier();
+    let doc = b"le conseil de l'union europeenne a arrete le present reglement";
+    for read_buffer in [ServiceConfig::default().read_buffer, 512] {
+        let server = serve(
+            Arc::clone(&c),
+            "127.0.0.1:0",
+            ServiceConfig {
+                workers: 1,
+                read_buffer,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("bind localhost");
+        let mut stream = raw_conn(server.addr());
+        stream.write_all(&doc_burst(doc, DOCS)).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        for _ in 0..DOCS {
+            expect_result(&mut stream, &c, doc);
+        }
+        assert!(
+            read_frame(&mut stream).unwrap().is_none(),
+            "read_buffer {read_buffer}: EOF after the last response"
+        );
+        let snap = server.shutdown();
+        assert_eq!(snap.documents, DOCS as u64, "read_buffer {read_buffer}");
+        assert_eq!(snap.payload_copies, 0, "read_buffer {read_buffer}");
+    }
+}
