@@ -42,8 +42,8 @@ pub fn min_k_for_target(n_programmed: usize, address_bits: u32, target: f64) -> 
 }
 
 /// Paper Table 1 rows: (m Kbits, k, paper-reported FP per thousand, paper
-/// accuracy %). Used by tests and the Table 1 regenerator to compare
-/// model output against the published numbers.
+/// accuracy %). Tests compare the model's FP column against it; the
+/// accuracy column is not reproduced (README, "Paper results").
 pub const PAPER_TABLE1: [(usize, usize, f64, f64); 8] = [
     (16, 4, 5.0, 99.45),
     (16, 3, 18.0, 97.42),

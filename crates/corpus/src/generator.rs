@@ -5,9 +5,9 @@
 //! training set for each language, and tested the classifier on the
 //! remaining documents."*
 //!
-//! The default [`CorpusConfig`] is scaled down (documents are cheap to
-//! generate but classification experiments should run in CI time); the
-//! benchmark harness scales it up towards the paper's sizes.
+//! The default [`CorpusConfig`] is scaled down from the paper's ~5,700
+//! documents per language: documents are cheap to generate, but
+//! classification experiments should run in CI time.
 
 use crate::language::Language;
 use crate::markov::MarkovModel;
@@ -62,16 +62,13 @@ pub struct CorpusConfig {
     /// distinct seeds is *more* separable than reality; this knob restores
     /// the paper's observed confusion structure ("consistently more Spanish
     /// documents were misclassified as Portuguese, and Estonian documents as
-    /// Finnish") and spreads top-2 margins down to zero so Bloom false
-    /// positives have a measurable accuracy cost. Languages without a
-    /// partner (en, fr) are unaffected. 0.0 disables mixing.
+    /// Finnish") and spreads top-2 margins down to zero. Languages without
+    /// a partner (en, fr) are unaffected. 0.0 disables mixing.
     pub confusion_mix: f64,
     /// Relative band `[lo, hi] ⊆ [0, 1]` from which the per-document
     /// contamination level is drawn: `α = confusion_mix · U(lo, hi)`.
     /// `(0.0, 1.0)` spreads margins uniformly; a narrow band near 1.0
-    /// concentrates documents at a chosen difficulty (used by the Table 1
-    /// experiment to place documents at the decision-noise knee, where Bloom
-    /// false positives measurably move accuracy).
+    /// concentrates documents at a chosen difficulty.
     pub confusion_band: (f64, f64),
     /// Master seed; every document derives its own RNG stream from this.
     pub seed: u64,
@@ -91,23 +88,16 @@ impl Default for CorpusConfig {
 }
 
 impl CorpusConfig {
-    /// A configuration shaped like the paper's evaluation (≈5,700 docs/lang,
-    /// ≈10 KB average) — use from benches, not unit tests.
-    pub fn paper_scale() -> Self {
-        Self {
-            docs_per_language: 5700,
-            mean_doc_bytes: 10 * 1024,
-            train_fraction: 0.10,
-            confusion_mix: 0.0,
-            confusion_band: (0.0, 1.0),
-            seed: 0x5EED_1CB1,
-        }
-    }
-
     /// A configuration that reproduces the paper's *hard* confusable-pair
     /// structure: similar languages share a substantial fraction of their
-    /// surface text, so top-2 margins shrink and Bloom false positives have
-    /// a measurable accuracy cost (the Table 1 regime).
+    /// surface text, so top-2 margins shrink toward zero.
+    ///
+    /// It does not reproduce Table 1's accuracy column. The synthetic
+    /// languages emit only 970–1,123 distinct 4-grams each, so a
+    /// `t = 5000` profile holds that many keys, not 5,000. At
+    /// (16 Kbit, 4) the per-key false-positive rate is then 1.5e-5 instead
+    /// of the paper's 4.8e-3, and all eight Table 1 configurations score
+    /// 97.63–97.78%, the same as the exact-lookup classifier (97.63%).
     pub fn confusable_scale() -> Self {
         Self {
             docs_per_language: 150,

@@ -125,9 +125,16 @@ impl HardwareClassifier {
             let p = self.datapath.inner().num_languages();
             ClassificationResult::new(ParallelClassifier::adder_tree(lanes, p), grams.len() as u64)
         };
-        let cycles = self.datapath.cycles_for_len(text.len());
+        (result, self.compute_time(text.len()))
+    }
+
+    /// Compute time of a `len`-byte document at the modelled clock: the
+    /// time half of [`HardwareClassifier::classify_timed`], without the
+    /// classification.
+    pub fn compute_time(&self, len: usize) -> SimTime {
+        let cycles = self.datapath.cycles_for_len(len);
         let ns = cycles as f64 / self.fmax_hz * 1e9;
-        (result, SimTime::from_nanos(ns.round() as u64))
+        SimTime::from_nanos(ns.round() as u64)
     }
 
     /// The wrapped functional classifier.

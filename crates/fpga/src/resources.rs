@@ -176,7 +176,7 @@ pub fn max_languages(device: &DeviceModel, bloom: BloomParams, copies: usize) ->
     p
 }
 
-/// Paper Table 2 rows for regression tests and the Table 2 regenerator:
+/// Paper Table 2 rows for regression tests:
 /// (m Kbits, k, logic, registers, M4Ks, Fmax MHz) at p=2, c=4.
 pub const PAPER_TABLE2: [(usize, usize, u32, u32, u32, u32); 8] = [
     (16, 4, 5480, 3849, 128, 182),

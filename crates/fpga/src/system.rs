@@ -209,7 +209,7 @@ impl Xd1000 {
             let q = self
                 .transfer_one(doc, clock)
                 .expect("clean transfers cannot fault");
-            let (_, compute) = self.fpga.hardware().classify_timed(doc);
+            let compute = self.fpga.hardware().compute_time(doc.len());
             // Serialized: commands, transfer, compute, interrupt, readback.
             clock = clock
                 .saturating_add(self.command_cost())
@@ -285,7 +285,7 @@ impl Xd1000 {
                         .expect("clean transfer")
                         .expect("result latched");
 
-                    let (_, compute) = fpga.hardware().classify_timed(doc);
+                    let compute = fpga.hardware().compute_time(doc.len());
                     compute_done = transfer_done.max(compute_done).saturating_add(compute);
 
                     res_tx.send((i, q.result)).expect("collector alive");

@@ -26,9 +26,7 @@
 //!   packed-word table from which the compile-time-`k` scalar evaluator
 //!   ([`FusedEvaluatorK`]) and the AVX2 [`simd::hash8`] compute all `k`
 //!   addresses in one pass over the key,
-//! * [`MultiplicativeHash`] — a classic Knuth multiplicative hash used as an
-//!   ablation baseline (software-friendly, *not* hardware friendly),
-//! * [`HashFunction`] — the trait both implement.
+//! * [`HashFunction`] — the key-to-address trait [`H3`] implements.
 //!
 //! H3 is GF(2)-linear: `H(x ^ y) == H(x) ^ H(y)` and `H(0) == 0`. Property
 //! tests in this crate and downstream rely on this invariant.
@@ -39,11 +37,9 @@
 #![warn(missing_docs)]
 
 mod h3;
-mod mult;
 pub mod simd;
 
 pub use h3::{FusedEvaluatorK, H3Family, H3};
-pub use mult::MultiplicativeHash;
 pub use simd::SimdLevel;
 
 /// A hash function from `u64` keys to bit-vector addresses in `[0, 1 << out_bits)`.

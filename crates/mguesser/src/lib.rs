@@ -12,25 +12,17 @@
 //!   ranked profile with the *out-of-place* distance, pick the minimum. This
 //!   is the method Mguesser implements (hashed profiles of up to ~4096
 //!   n-grams).
-//! * [`classic::ClassicCavnarTrenkle`] — the original 1994 method with
-//!   mixed-length (1–5) padded word n-grams, for quantifying what the
-//!   hardware's fixed `n = 4` costs.
 //! * [`HashSetClassifier`] — a faster software variant using the same
 //!   match-count scoring as the hardware (set membership per n-gram),
 //!   provided so benches can separate "algorithm" from "implementation
 //!   quality" when comparing software vs simulated hardware.
 //!
-//! Absolute throughput on a modern CPU is far above 2007's 5.5 MB/s;
-//! EXPERIMENTS.md reports both our measured numbers and the paper's, and the
+//! Absolute throughput on a modern CPU is far above 2007's 5.5 MB/s, so the
 //! hardware/software comparison keeps the paper's published baseline
-//! alongside ours.
+//! ([`PAPER_MGUESSER_MB_S`]) alongside ours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod classic;
-
-pub use classic::{ClassicCavnarTrenkle, MixedProfile, CLASSIC_PROFILE_LEN};
 
 use lc_ngram::{NGramCounter, NGramProfile, NGramSpec, RankedProfile};
 

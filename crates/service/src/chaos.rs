@@ -113,13 +113,14 @@ const SITE_SALT: [u64; SITES] = [
     0xC4CE_B9FE_1A85_EC53,
 ];
 
-/// The runtime form of a [`ChaosConfig`]: thresholds precomputed, one
-/// atomic draw counter per site. Shared (`Arc`) by every reactor, worker,
-/// and waker of one server.
+/// The runtime form of a [`ChaosConfig`]: thresholds and per-site stream
+/// keys precomputed, one atomic draw counter per site. Shared (`Arc`) by
+/// every reactor, worker, and waker of one server.
 #[derive(Debug)]
 pub struct FaultPlan {
     cfg: ChaosConfig,
     thresholds: [u64; SITES],
+    keys: [u64; SITES],
     draws: [AtomicU64; SITES],
     jobs: AtomicU64,
     injected: AtomicU64,
@@ -155,9 +156,14 @@ impl FaultPlan {
             threshold(cfg.worker_delay),
             threshold(cfg.worker_panic),
         ];
+        // Mix the seed with the salt before a draw index is XOR-ed in:
+        // `seed ^ salt ^ n` would give seeds that differ only in their
+        // low bits the same values in a permuted order.
+        let keys = std::array::from_fn(|i| mix(cfg.seed ^ SITE_SALT[i]));
         Self {
             cfg,
             thresholds,
+            keys,
             draws: std::array::from_fn(|_| AtomicU64::new(0)),
             jobs: AtomicU64::new(0),
             injected: AtomicU64::new(0),
@@ -170,31 +176,28 @@ impl FaultPlan {
     }
 
     /// Draw the site's next decision: `true` = inject here. The decision
-    /// is `mix(seed ^ salt ^ n) < threshold` for the site's n-th draw —
-    /// deterministic per site given the seed.
+    /// is `mix(key ^ n) < threshold` for the site's n-th draw, where `key`
+    /// is `mix(seed ^ salt)` — deterministic per site given the seed.
     pub fn fire(&self, site: FaultSite) -> bool {
-        let i = site as usize;
-        if self.thresholds[i] == 0 {
-            return false; // keep hot paths free of atomics when disabled
-        }
-        let n = self.draws[i].fetch_add(1, Ordering::Relaxed);
-        let hit = mix(self.cfg.seed ^ SITE_SALT[i] ^ n) < self.thresholds[i];
-        if hit {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.fire_sized(site, 1).is_some()
     }
 
-    /// A deterministic value in `[0, modulus)` tied to the site's *last*
-    /// decision (same draw index), for sizing the injected fault: the
-    /// short-read byte cap, the index of the byte to corrupt.
-    pub fn amount(&self, site: FaultSite, modulus: usize) -> usize {
-        if modulus <= 1 {
-            return 0;
-        }
+    /// [`FaultPlan::fire`] for a fault that needs a size: on a hit, a
+    /// deterministic value in `[0, modulus)` derived from the same draw
+    /// (the short-read byte cap, the index of the byte to corrupt), so a
+    /// concurrent draw on another thread cannot change it.
+    pub fn fire_sized(&self, site: FaultSite, modulus: usize) -> Option<usize> {
         let i = site as usize;
-        let n = self.draws[i].load(Ordering::Relaxed);
-        (mix(self.cfg.seed ^ SITE_SALT[i].rotate_left(17) ^ n) % modulus as u64) as usize
+        if self.thresholds[i] == 0 {
+            return None; // keep hot paths free of atomics when disabled
+        }
+        let n = self.draws[i].fetch_add(1, Ordering::Relaxed);
+        let draw = mix(self.keys[i] ^ n);
+        if draw >= self.thresholds[i] {
+            return None;
+        }
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Some((mix(draw) % modulus.max(1) as u64) as usize)
     }
 
     /// One-shot worker-thread kill: `true` exactly when the pool-wide job
@@ -254,6 +257,7 @@ mod tests {
         let cfg = ChaosConfig {
             seed: 0xFEED_BEEF,
             short_read: 0.25,
+            short_write: 0.5,
             corrupt_payload: 0.1,
             ..ChaosConfig::default()
         };
@@ -266,8 +270,8 @@ mod tests {
                 b.fire(FaultSite::CorruptPayload)
             );
             assert_eq!(
-                a.amount(FaultSite::ShortRead, 64),
-                b.amount(FaultSite::ShortRead, 64)
+                a.fire_sized(FaultSite::ShortWrite, 64),
+                b.fire_sized(FaultSite::ShortWrite, 64)
             );
         }
     }
@@ -329,10 +333,29 @@ mod tests {
             ..ChaosConfig::default()
         });
         for _ in 0..500 {
-            assert!(plan.fire(FaultSite::ShortRead));
-            assert!(plan.amount(FaultSite::ShortRead, 64) < 64);
+            assert!(plan
+                .fire_sized(FaultSite::ShortRead, 64)
+                .is_some_and(|a| a < 64));
         }
-        assert_eq!(plan.amount(FaultSite::ShortRead, 1), 0);
-        assert_eq!(plan.amount(FaultSite::ShortRead, 0), 0);
+        assert_eq!(plan.fire_sized(FaultSite::ShortRead, 1), Some(0));
+        assert_eq!(plan.fire_sized(FaultSite::ShortRead, 0), Some(0));
+    }
+
+    #[test]
+    fn seeds_differing_in_low_bits_draw_different_schedules() {
+        let hits: Vec<usize> = (1..=7)
+            .map(|seed| {
+                let plan = FaultPlan::new(ChaosConfig {
+                    seed,
+                    short_read: 0.25,
+                    ..ChaosConfig::default()
+                });
+                (0..200).filter(|_| plan.fire(FaultSite::ShortRead)).count()
+            })
+            .collect();
+        assert!(
+            hits.iter().any(|&h| h != hits[0]),
+            "seeds 1..=7 hit the same count: {hits:?}"
+        );
     }
 }

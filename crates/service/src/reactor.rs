@@ -588,10 +588,10 @@ impl Reactor {
                 // resumption. The socket is in truth still writable — no
                 // EPOLLOUT edge will follow — so flag a forced deferral
                 // instead of clearing `write_ready`.
-                let clip = plan.as_ref().and_then(|p| {
-                    p.fire(FaultSite::ShortWrite)
-                        .then(|| p.amount(FaultSite::ShortWrite, 256) + 1)
-                });
+                let clip = plan
+                    .as_ref()
+                    .and_then(|p| p.fire_sized(FaultSite::ShortWrite, 256))
+                    .map(|amount| amount + 1);
                 let res = match clip {
                     Some(limit) => {
                         metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -840,19 +840,23 @@ impl Reactor {
                                 // Chaos payload corruption: flip one byte
                                 // of a Data payload, framing intact — the
                                 // end-to-end XOR checksum must catch it.
-                                let cmd = match (plan.as_ref(), cmd) {
+                                let corrupt_at = match (plan.as_ref(), &cmd) {
                                     (Some(p), WireCommand::Data(payload))
-                                        if !payload.is_empty()
-                                            && p.fire(FaultSite::CorruptPayload) =>
+                                        if !payload.is_empty() =>
                                     {
+                                        p.fire_sized(FaultSite::CorruptPayload, payload.len())
+                                    }
+                                    _ => None,
+                                };
+                                let cmd = match (corrupt_at, cmd) {
+                                    (Some(at), WireCommand::Data(payload)) => {
                                         metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
                                         record_fault(ring.as_deref(), FaultSite::CorruptPayload);
                                         let mut raw = Vec::with_capacity(payload.len());
                                         for piece in payload.pieces() {
                                             raw.extend_from_slice(piece);
                                         }
-                                        let at = p.amount(FaultSite::CorruptPayload, raw.len());
-                                        // lint: allow(panic, reason = "ChaosPlan::amount contracts to return an index below the bound it was given")
+                                        // lint: allow(panic, reason = "FaultPlan::fire_sized contracts to return an index below the bound it was given")
                                         raw[at] ^= 0x01;
                                         WireCommand::Data(raw.into())
                                     }
@@ -989,13 +993,16 @@ impl Reactor {
             // Chaos short read: clamp this pass's read size to a few
             // bytes, splitting frames at arbitrary boundaries — the rope
             // accumulator must reassemble them bit-exactly.
-            let cap = match plan.as_ref() {
-                Some(p) if p.fire(FaultSite::ShortRead) => {
+            let clamp = plan.as_ref().and_then(|p| {
+                p.fire_sized(FaultSite::ShortRead, cfg.read_buffer.saturating_sub(1))
+            });
+            let cap = match clamp {
+                Some(amount) => {
                     metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
                     record_fault(ring.as_deref(), FaultSite::ShortRead);
-                    p.amount(FaultSite::ShortRead, cfg.read_buffer.saturating_sub(1)) + 1
+                    amount + 1
                 }
-                _ => cfg.read_buffer,
+                None => cfg.read_buffer,
             };
             metrics.read_syscalls.fetch_add(1, Ordering::Relaxed);
             match c.acc.fill_from(&mut c.stream, cap) {

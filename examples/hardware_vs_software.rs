@@ -1,6 +1,7 @@
 //! Three-way comparison — Mguesser-class software, HAIL, and the paper's
-//! Bloom design — an interactive version of Table 4 (the full regenerator is
-//! `cargo run -p lc-bench --release --bin table4`).
+//! Bloom design — an interactive version of Table 4. The paper's ratios
+//! are asserted by `tests/paper_tables.rs`
+//! (`cargo test --release --test paper_tables -- --nocapture`).
 //!
 //! ```sh
 //! cargo run --release --example hardware_vs_software

@@ -4,9 +4,7 @@
 //! A Rust reproduction of Jacob & Gokhale (HPRCTA'07): an end-to-end n-gram
 //! language classifier whose membership tests run in Parallel Bloom Filters,
 //! together with a simulator of the XtremeData XD1000 platform the paper
-//! deployed on, the HAIL and Mguesser baselines it compares against, and a
-//! benchmark harness that regenerates every table and figure of the paper's
-//! evaluation.
+//! deployed on, and the HAIL and Mguesser baselines it compares against.
 //!
 //! ## Crate map
 //!
