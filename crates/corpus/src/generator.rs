@@ -65,11 +65,6 @@ pub struct CorpusConfig {
     /// Finnish") and spreads top-2 margins down to zero. Languages without
     /// a partner (en, fr) are unaffected. 0.0 disables mixing.
     pub confusion_mix: f64,
-    /// Relative band `[lo, hi] ⊆ [0, 1]` from which the per-document
-    /// contamination level is drawn: `α = confusion_mix · U(lo, hi)`.
-    /// `(0.0, 1.0)` spreads margins uniformly; a narrow band near 1.0
-    /// concentrates documents at a chosen difficulty.
-    pub confusion_band: (f64, f64),
     /// Master seed; every document derives its own RNG stream from this.
     pub seed: u64,
 }
@@ -81,7 +76,6 @@ impl Default for CorpusConfig {
             mean_doc_bytes: 4 * 1024,
             train_fraction: 0.10,
             confusion_mix: 0.0,
-            confusion_band: (0.0, 1.0),
             seed: 0x5EED_1CB1,
         }
     }
@@ -104,7 +98,6 @@ impl CorpusConfig {
             mean_doc_bytes: 2 * 1024,
             train_fraction: 0.10,
             confusion_mix: 0.5,
-            confusion_band: (0.0, 1.0),
             seed: 0x5EED_1CB1,
         }
     }
@@ -116,7 +109,6 @@ impl CorpusConfig {
             mean_doc_bytes: 2 * 1024,
             train_fraction: 0.10,
             confusion_mix: 0.0,
-            confusion_band: (0.0, 1.0),
             seed: 0x5EED_1CB1,
         }
     }
@@ -157,13 +149,6 @@ impl Corpus {
             (0.0..=0.5).contains(&config.confusion_mix),
             "confusion_mix must be in [0, 0.5] (beyond 0.5 the partner dominates)"
         );
-        {
-            let (lo, hi) = config.confusion_band;
-            assert!(
-                (0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi) && lo <= hi,
-                "confusion_band must satisfy 0 <= lo <= hi <= 1"
-            );
-        }
         let train_n = (((config.docs_per_language as f64) * config.train_fraction).round()
             as usize)
             .max(1)
@@ -213,9 +198,7 @@ impl Corpus {
                         };
                         let text = match partner {
                             Some(partner) => {
-                                let (lo, hi) = config.confusion_band;
-                                let u = rng.gen_range(lo..=hi);
-                                let alpha = config.confusion_mix * u;
+                                let alpha = config.confusion_mix * rng.gen_range(0.0..=1.0);
                                 generate_mixed(own, partner, alpha, len, &mut rng)
                             }
                             None => own.generate(len, doc_seed ^ 0x9E3779B97F4A7C15),

@@ -9,10 +9,10 @@
 //! - **seqcst** — `Ordering::SeqCst` outside the signal handler
 //!   (`crates/reactor/src/sys.rs`) needs an adjacent `// ordering:`
 //!   comment justifying the strongest ordering.
-//! - **registry** — wire frame kinds, stats section tags, and event-ring
-//!   tags must match `crates/wire/registry.txt` exactly: unique values,
-//!   append-only (never renumbered, never silently removed), and every
-//!   frame kind decodable.
+//! - **registry** — wire frame kinds and stats section tags must match
+//!   `crates/wire/registry.txt` exactly: unique values, append-only
+//!   (never renumbered, never silently removed), and every frame kind
+//!   decodable.
 //! - **panic** — no `unwrap`/`expect`/`panic!`-family macros or
 //!   unannotated indexing in the reactor's decode/write hot-path files.
 //! - **hist** — latency-bounds tables must match their declared lengths

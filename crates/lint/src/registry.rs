@@ -13,7 +13,6 @@ use std::path::Path;
 pub const REGISTRY_PATH: &str = "crates/wire/registry.txt";
 const FRAME_FILE: &str = "crates/wire/src/frame.rs";
 const METRICS_FILE: &str = "crates/service/src/metrics.rs";
-const RING_FILE: &str = "crates/service/src/ring.rs";
 
 /// Run the registry check, appending findings to `out`.
 pub fn check(root: &Path, out: &mut Vec<Violation>) {
@@ -35,11 +34,6 @@ pub fn check(root: &Path, out: &mut Vec<Violation>) {
     if let Ok(src) = fs::read_to_string(root.join(METRICS_FILE)) {
         for (name, value, line) in stats_sections(&strip(&src)) {
             actual.push(("stats-section", name, value, line, METRICS_FILE));
-        }
-    }
-    if let Ok(src) = fs::read_to_string(root.join(RING_FILE)) {
-        for (name, value, line) in ring_tags(&strip(&src)) {
-            actual.push(("ring-tag", name, value, line, RING_FILE));
         }
     }
 
@@ -83,7 +77,6 @@ pub fn check(root: &Path, out: &mut Vec<Violation>) {
         let domain_scanned = match domain.as_str() {
             "frame-kind" => root.join(FRAME_FILE).is_file(),
             "stats-section" => root.join(METRICS_FILE).is_file(),
-            "ring-tag" => root.join(RING_FILE).is_file(),
             _ => false,
         };
         if domain_scanned
@@ -180,33 +173,6 @@ fn stats_sections(stripped: &str) -> Vec<(String, u64, usize)> {
         .collect()
 }
 
-/// Extract `Name = N,` variants inside `enum RingTag`.
-fn ring_tags(stripped: &str) -> Vec<(String, u64, usize)> {
-    let Some(open) = stripped.find("enum RingTag") else {
-        return Vec::new();
-    };
-    let end = brace_region(stripped, open);
-    let mut out = Vec::new();
-    for (i, raw_line) in stripped[..end].lines().enumerate() {
-        let byte = line_start(stripped, i);
-        if byte < open {
-            continue;
-        }
-        let line = raw_line.trim().trim_end_matches(',');
-        let Some((name, value)) = line.split_once('=') else {
-            continue;
-        };
-        let name = name.trim();
-        if !name.chars().all(|c| c.is_ascii_alphanumeric()) || name.is_empty() {
-            continue;
-        }
-        if let Some(value) = parse_num(value.trim()) {
-            out.push((name.to_string(), value, i + 1));
-        }
-    }
-    out
-}
-
 /// Find `const NAME<type_sig> <value>;` declarations in `region`
 /// (already offset into `full` by `base` for line numbering).
 fn consts_in(region: &str, type_sig: &str, base: usize, full: &str) -> Vec<(String, u64, usize)> {
@@ -266,10 +232,6 @@ fn brace_region(text: &str, open: usize) -> usize {
     text.len()
 }
 
-fn line_start(text: &str, line_idx: usize) -> usize {
-    text.lines().take(line_idx).map(|l| l.len() + 1).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,14 +243,6 @@ mod tests {
         assert_eq!(kinds.len(), 2);
         assert_eq!(kinds[0], ("SIZE".to_string(), 1, 2));
         assert_eq!(kinds[1], ("DATA".to_string(), 2, 3));
-    }
-
-    #[test]
-    fn ring_tag_extraction() {
-        let src = "pub enum RingTag {\n    EpollWake = 1,\n    Read = 3,\n}\n";
-        let tags = ring_tags(src);
-        assert_eq!(tags.len(), 2);
-        assert_eq!(tags[1], ("Read".to_string(), 3, 3));
     }
 
     #[test]

@@ -123,7 +123,6 @@ pub struct FaultPlan {
     keys: [u64; SITES],
     draws: [AtomicU64; SITES],
     jobs: AtomicU64,
-    injected: AtomicU64,
 }
 
 /// splitmix64 finalizer: the same mixer the shard hash and the proptest
@@ -166,7 +165,6 @@ impl FaultPlan {
             keys,
             draws: std::array::from_fn(|_| AtomicU64::new(0)),
             jobs: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
         }
     }
 
@@ -196,7 +194,6 @@ impl FaultPlan {
         if draw >= self.thresholds[i] {
             return None;
         }
-        self.injected.fetch_add(1, Ordering::Relaxed);
         Some((mix(draw) % modulus.max(1) as u64) as usize)
     }
 
@@ -206,22 +203,12 @@ impl FaultPlan {
         if self.cfg.worker_kill_after == 0 {
             return false;
         }
-        let n = self.jobs.fetch_add(1, Ordering::Relaxed) + 1;
-        if n == self.cfg.worker_kill_after {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        false
+        self.jobs.fetch_add(1, Ordering::Relaxed) + 1 == self.cfg.worker_kill_after
     }
 
     /// Worker sleep length when [`FaultSite::WorkerDelay`] fires.
     pub fn worker_delay(&self) -> std::time::Duration {
         std::time::Duration::from_millis(self.cfg.worker_delay_ms)
-    }
-
-    /// Total faults injected so far (all sites).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
     }
 }
 
@@ -236,7 +223,6 @@ mod tests {
             assert!(!plan.fire(FaultSite::ShortRead));
             assert!(!plan.kill_now());
         }
-        assert_eq!(plan.injected(), 0);
     }
 
     #[test]
@@ -249,7 +235,6 @@ mod tests {
         for _ in 0..100 {
             assert!(plan.fire(FaultSite::WorkerPanic));
         }
-        assert_eq!(plan.injected(), 100);
     }
 
     #[test]
@@ -322,7 +307,6 @@ mod tests {
         });
         let fired: Vec<usize> = (1..=20).filter(|_| plan.kill_now()).collect();
         assert_eq!(fired.len(), 1);
-        assert_eq!(plan.injected(), 1);
     }
 
     #[test]

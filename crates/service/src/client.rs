@@ -381,9 +381,10 @@ impl ClassifyClient {
     /// `GetStats` control frame, answered inline by the reactor with a
     /// `StatsReport` — the request never rides a worker queue, so a
     /// saturated pool (the very situation worth inspecting) cannot delay
-    /// or drop the answer. `detail` 1 additionally dumps the per-reactor
-    /// flight-recorder rings (servers started with `--trace-ring`;
-    /// otherwise the rings come back empty).
+    /// or drop the answer. `detail` 0 and 1 answer the same counters,
+    /// histograms and shard table; `detail` 2 or more also drains the
+    /// server's trace spans (each span is reported once) and copies its
+    /// history ring.
     ///
     /// Call it with no documents in flight on this connection — the report
     /// would otherwise interleave with (and be mistaken for) a document

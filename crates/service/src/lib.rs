@@ -71,7 +71,6 @@ pub mod client;
 pub mod metrics;
 mod outbound;
 mod reactor;
-pub mod ring;
 pub mod server;
 pub mod session;
 pub(crate) mod sync;
@@ -87,7 +86,6 @@ pub use metrics::{
     STATS_SCHEMA_VERSION,
 };
 pub use outbound::{high_water_op, MaskOp, ResponseSink};
-pub use ring::{EventRing, RingEvent, RingSet, RingTag};
 pub use server::{serve, ServerHandle, ServiceConfig};
 pub use session::Session;
 pub use trace::{

@@ -19,7 +19,6 @@
 //! instrumentation cheap enough to leave on. Only a span the plane keeps
 //! (sampled, slow or faulted) takes its shard buffer's lock.
 
-use crate::ring::RingEvent;
 use crate::sync::{AtomicU64, Ordering};
 use crate::trace::{HistoryShard, HistorySlot, SpanRecord, SpanSet};
 use std::time::Duration;
@@ -415,7 +414,6 @@ impl ServiceMetrics {
                 self.events_per_wake[i].load(Ordering::Relaxed)
             }),
             shards,
-            rings: Vec::new(),
             spans: Vec::new(),
             history: Vec::new(),
             simd: self.simd.get().cloned().unwrap_or_default(),
@@ -503,10 +501,6 @@ pub struct MetricsSnapshot {
     pub events_per_wake: [u64; LATENCY_BUCKETS],
     /// Per-worker-shard counters.
     pub shards: Vec<ShardStats>,
-    /// Per-reactor event-ring dumps (populated only by
-    /// `GetStats(detail=1)` answers from a `--trace-ring` server; empty
-    /// in plain snapshots).
-    pub rings: Vec<Vec<RingEvent>>,
     /// Trace spans drained by a `GetStats(detail=2)` answer: faulted
     /// documents always, sampled and slow ones per `--trace-sample` /
     /// `--trace-slow-us`; empty in plain snapshots and at lower detail.
@@ -543,6 +537,8 @@ const SEC_LANGS: u16 = 2;
 const SEC_STAGES: u16 = 3;
 const SEC_WAKE_HIST: u16 = 4;
 const SEC_SHARDS: u16 = 5;
+/// Retired: the per-reactor event-ring dumps of older servers. No server
+/// emits it any more and the decoder skips it; never reuse the value.
 const SEC_RINGS: u16 = 6;
 const SEC_SPANS: u16 = 7;
 const SEC_HISTORY: u16 = 8;
@@ -755,20 +751,6 @@ impl MetricsSnapshot {
         }
         put_section(&mut out, SEC_SHARDS, &body);
 
-        if !self.rings.is_empty() {
-            let mut body = Vec::new();
-            put_u16(&mut body, self.rings.len() as u16);
-            for ring in &self.rings {
-                put_u32(&mut body, ring.len() as u32);
-                for e in ring {
-                    put_u64(&mut body, e.ts_ns);
-                    body.push(e.tag);
-                    put_u64(&mut body, e.arg);
-                }
-            }
-            put_section(&mut out, SEC_RINGS, &body);
-        }
-
         if !self.spans.is_empty() {
             let mut body = Vec::with_capacity(8 + self.spans.len() * SPAN_RECORD_BYTES);
             put_u32(&mut body, self.spans.len() as u32);
@@ -920,22 +902,9 @@ impl MetricsSnapshot {
                     }
                     snap.shards = shards;
                 }
-                SEC_RINGS => {
-                    let n = body.u16()? as usize;
-                    let mut rings = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let events = body.u32()? as usize;
-                        let mut ring = Vec::with_capacity(events.min(crate::ring::RING_ENTRIES));
-                        for _ in 0..events {
-                            let ts_ns = body.u64()?;
-                            let tag = body.u8()?;
-                            let arg = body.u64()?;
-                            ring.push(RingEvent { ts_ns, tag, arg });
-                        }
-                        rings.push(ring);
-                    }
-                    snap.rings = rings;
-                }
+                // An older server's event-ring dumps: skipped like an
+                // unknown section.
+                SEC_RINGS => {}
                 SEC_SPANS => {
                     let n = body.u32()? as usize;
                     let rec_len = body.u16()? as usize;
@@ -1438,18 +1407,6 @@ mod tests {
         m.set_simd("scalar"); // later calls are ignored: dispatch is set once
         let mut snap = m.snapshot();
         assert_eq!(snap.simd, "avx2");
-        snap.rings = vec![vec![
-            RingEvent {
-                ts_ns: 17,
-                tag: 1,
-                arg: 3,
-            },
-            RingEvent {
-                ts_ns: 90,
-                tag: 7,
-                arg: 0,
-            },
-        ]];
         snap.spans = vec![
             SpanRecord {
                 trace_id: 0xDEAD_BEEF,
@@ -1506,6 +1463,17 @@ mod tests {
         put_u16(&mut bytes, 0x7FFF);
         put_u32(&mut bytes, 12);
         bytes.extend_from_slice(&[0xAB; 12]);
+        // A retired section: an older server's event-ring dump (one
+        // reactor, two 17-byte records of ts, tag, arg).
+        let mut body = Vec::new();
+        put_u16(&mut body, 1);
+        put_u32(&mut body, 2);
+        for (ts_ns, tag, arg) in [(17u64, 1u8, 3u64), (90, 7, 0)] {
+            put_u64(&mut body, ts_ns);
+            body.push(tag);
+            put_u64(&mut body, arg);
+        }
+        put_section(&mut bytes, SEC_RINGS, &body);
         // A future counters section with extra appended counters: replace
         // nothing, just append a second counters section carrying more
         // fields than we know (later sections overwrite earlier ones).
@@ -1525,11 +1493,11 @@ mod tests {
 
     #[test]
     fn plain_snapshots_carry_no_span_or_history_sections() {
-        // Detail ≤ 1 answers must stay bit-identical to the PR 7 schema:
-        // the span and history sections only exist when populated, so a
-        // plain snapshot's bytes list exactly the original section tags.
+        // Detail ≤ 1 answers must stay bit-identical to the original
+        // schema: the span and history sections only exist when populated,
+        // so a plain snapshot's bytes list exactly the original section
+        // tags.
         let mut snap = busy_snapshot();
-        snap.rings.clear();
         snap.spans.clear();
         snap.history.clear();
         snap.simd.clear();
@@ -1582,8 +1550,6 @@ mod tests {
             events_per_wake in arb_histogram(),
             shards in proptest::collection::vec(
                 proptest::collection::vec(0u64..1 << 40, SHARD_FIELDS), 0..5),
-            rings in proptest::collection::vec(
-                proptest::collection::vec((0u64..1 << 40, 0u8..16, 0u64..1 << 40), 0..8), 0..3),
             spans in proptest::collection::vec(
                 (any::<u64>(), 0u64..1 << 40, any::<u16>(), 0u16..64, any::<u32>(),
                  any::<u8>(), 0u8..12, any::<u32>(),
@@ -1614,14 +1580,6 @@ mod tests {
                         queue_depth_peak: v[3],
                         parked: v[4],
                         jobs: v[5],
-                    })
-                    .collect(),
-                rings: rings
-                    .iter()
-                    .map(|ring| {
-                        ring.iter()
-                            .map(|&(ts_ns, tag, arg)| RingEvent { ts_ns, tag, arg })
-                            .collect()
                     })
                     .collect(),
                 spans: spans

@@ -43,7 +43,6 @@ use std::time::Instant;
 
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::metrics::ServiceMetrics;
-use crate::ring::{EventRing, RingTag};
 use crate::sync::Ordering;
 use crate::trace::SpanRecord;
 
@@ -163,9 +162,6 @@ pub(crate) struct ReactorWaker {
     /// skip its write-through fast path — both to prove the reactor's
     /// slow paths recover on their own.
     chaos: Option<(Arc<FaultPlan>, Arc<ServiceMetrics>)>,
-    /// The owning reactor's flight recorder (`--trace-ring`): wake-drop
-    /// faults injected here are recorded so ring dumps show them.
-    ring: Option<Arc<EventRing>>,
 }
 
 #[derive(Debug, Default)]
@@ -177,15 +173,11 @@ struct WakeQueue {
 }
 
 impl ReactorWaker {
-    pub fn new(
-        chaos: Option<(Arc<FaultPlan>, Arc<ServiceMetrics>)>,
-        ring: Option<Arc<EventRing>>,
-    ) -> std::io::Result<Self> {
+    pub fn new(chaos: Option<(Arc<FaultPlan>, Arc<ServiceMetrics>)>) -> std::io::Result<Self> {
         Ok(Self {
             eventfd: EventFd::new()?,
             queue: Mutex::new(WakeQueue::default()),
             chaos,
-            ring,
         })
     }
 
@@ -226,9 +218,6 @@ impl ReactorWaker {
         if let Some((plan, metrics)) = &self.chaos {
             if plan.fire(FaultSite::WakeDrop) {
                 metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &self.ring {
-                    r.record(RingTag::Fault, FaultSite::WakeDrop as u64);
-                }
                 return;
             }
         }

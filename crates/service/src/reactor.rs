@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::metrics::ServiceMetrics;
 use crate::outbound::{high_water_op, MaskOp, NewConn, OutboundInner, ReactorWaker, ResponseSink};
-use crate::ring::{EventRing, RingSet, RingTag};
 use crate::sync::{AtomicBool, Ordering};
 use crate::trace::HistoryRing;
 use crate::worker::{ChannelKey, Job};
@@ -165,15 +164,12 @@ struct Conn {
 }
 
 /// Cross-thread control state every reactor shares with the server:
-/// shutdown/drain latches plus the optional fault-injection plan and the
-/// optional `--trace-ring` flight recorders (shared so any reactor can
-/// answer `GetStats(detail=1)` with every thread's window).
+/// shutdown/drain latches plus the optional fault-injection plan.
 #[derive(Clone)]
 pub(crate) struct ReactorControl {
     pub shutdown: Arc<AtomicBool>,
     pub drain: Arc<AtomicBool>,
     pub plan: Option<Arc<FaultPlan>>,
-    pub rings: Option<Arc<RingSet>>,
     /// Time-series ring for `GetStats(detail=2)` dumps (`None` = off).
     pub history: Option<Arc<HistoryRing>>,
 }
@@ -194,10 +190,8 @@ pub(crate) fn spawn_reactor(
         shutdown,
         drain,
         plan,
-        rings,
         history,
     } = control;
-    let ring = rings.as_ref().and_then(|r| r.ring(index)).cloned();
     let mut reactor = Reactor {
         epoll,
         waker,
@@ -207,8 +201,6 @@ pub(crate) fn spawn_reactor(
         shutdown,
         drain,
         plan,
-        ring,
-        rings,
         history,
         cfg,
         conns: HashMap::new(),
@@ -232,11 +224,6 @@ struct Reactor {
     drain: Arc<AtomicBool>,
     /// Seeded fault-injection plan; `None` in production.
     plan: Option<Arc<FaultPlan>>,
-    /// This reactor's own flight recorder (`--trace-ring`); `None` when
-    /// tracing is off.
-    ring: Option<Arc<EventRing>>,
-    /// Every reactor's ring, for `GetStats(detail=1)` dumps.
-    rings: Option<Arc<RingSet>>,
     /// History ring, copied into `GetStats(detail=2)` answers.
     history: Option<Arc<HistoryRing>>,
     cfg: ReactorConfig,
@@ -253,17 +240,16 @@ struct Reactor {
 /// `Ok(false)` = parked in `stalled` (shard full, or earlier jobs already
 /// parked — FIFO order is preserved), `Err(())` = pool disconnected
 /// (shutdown): tear the connection down. Delivery and parking both land
-/// in the shard's counters (and the park in the flight recorder).
+/// in the shard's counters.
 fn enqueue(
     stalled: &mut VecDeque<(usize, Job)>,
     senders: &[SyncSender<Job>],
     metrics: &ServiceMetrics,
-    ring: Option<&EventRing>,
     shard: usize,
     mut job: Job,
 ) -> Result<bool, ()> {
     if !stalled.is_empty() {
-        note_parked(metrics, ring, shard);
+        note_parked(metrics, shard);
         mark_parked(&mut job);
         stalled.push_back((shard, job));
         return Ok(false);
@@ -277,7 +263,7 @@ fn enqueue(
             Ok(true)
         }
         Err(TrySendError::Full(mut job)) => {
-            note_parked(metrics, ring, shard);
+            note_parked(metrics, shard);
             mark_parked(&mut job);
             stalled.push_back((shard, job));
             Ok(false)
@@ -295,20 +281,9 @@ fn mark_parked(job: &mut Job) {
 }
 
 /// A job parked in a connection's stall list instead of reaching `shard`.
-fn note_parked(metrics: &ServiceMetrics, ring: Option<&EventRing>, shard: usize) {
+fn note_parked(metrics: &ServiceMetrics, shard: usize) {
     if let Some(sc) = metrics.shard(shard) {
         sc.parked.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(r) = ring {
-        r.record(RingTag::Park, shard as u64);
-    }
-}
-
-/// A chaos fault fired at `site`: put it on the flight recorder too, so a
-/// ring dump shows injected faults interleaved with the I/O they perturb.
-fn record_fault(ring: Option<&EventRing>, site: FaultSite) {
-    if let Some(r) = ring {
-        r.record(RingTag::Fault, site as u64);
     }
 }
 
@@ -340,19 +315,11 @@ impl Reactor {
                 break;
             }
             self.metrics.record_wake(delivered);
-            if delivered > 0 {
-                if let Some(r) = &self.ring {
-                    r.record(RingTag::EpollWake, delivered as u64);
-                }
-            }
             touched.clear();
             for ev in events.iter() {
                 if ev.token == WAKE_TOKEN {
                     self.waker.eventfd().drain();
                     self.metrics.eventfd_wakes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(r) = &self.ring {
-                        r.record(RingTag::EventfdWake, 0);
-                    }
                     continue;
                 }
                 let Some(c) = self.conns.get_mut(&ev.token) else {
@@ -412,7 +379,6 @@ impl Reactor {
         if let Some(plan) = &self.plan {
             if plan.fire(FaultSite::ConnReset) {
                 self.metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
-                record_fault(self.ring.as_deref(), FaultSite::ConnReset);
                 return self.teardown(conn);
             }
         }
@@ -514,9 +480,6 @@ impl Reactor {
                 payload_copies_reported: 0,
             },
         );
-        if let Some(r) = &self.ring {
-            r.record(RingTag::ConnOpen, conn);
-        }
         Some(conn)
     }
 
@@ -570,7 +533,6 @@ impl Reactor {
             cfg,
             conns,
             plan,
-            ring,
             ..
         } = self;
         let Some(c) = conns.get_mut(&conn) else {
@@ -595,7 +557,6 @@ impl Reactor {
                 let res = match clip {
                     Some(limit) => {
                         metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
-                        record_fault(ring.as_deref(), FaultSite::ShortWrite);
                         let mut w = ClippedWriter {
                             inner: &mut c.stream,
                             remaining: limit,
@@ -618,9 +579,6 @@ impl Reactor {
             }
             let after = inner.buf.len();
             if after < before {
-                if let Some(r) = ring {
-                    r.record(RingTag::Write, conn);
-                }
                 inner.note_flushed(metrics);
             }
             (after, after < before)
@@ -691,8 +649,6 @@ impl Reactor {
             waker,
             drain,
             plan,
-            ring,
-            rings,
             history,
             ..
         } = self;
@@ -719,11 +675,6 @@ impl Reactor {
                                 // mid-load, on any channel, v1 or v2.
                                 if let WireCommand::GetStats { detail } = cmd {
                                     let mut snap = metrics.snapshot();
-                                    if detail >= 1 {
-                                        if let Some(rs) = rings {
-                                            snap.rings = rs.dump_all();
-                                        }
-                                    }
                                     // detail=2 adds the trace plane: the
                                     // span dump *drains* (each span is
                                     // reported once); history is copied.
@@ -732,9 +683,6 @@ impl Reactor {
                                         if let Some(h) = history {
                                             snap.history = h.dump();
                                         }
-                                    }
-                                    if let Some(r) = ring {
-                                        r.record(RingTag::Stats, u64::from(detail));
                                     }
                                     push_response(
                                         c,
@@ -758,7 +706,6 @@ impl Reactor {
                                             &mut c.stalled,
                                             senders,
                                             metrics,
-                                            ring.as_deref(),
                                             ch.shard,
                                             Job::Close { key },
                                         )
@@ -825,7 +772,6 @@ impl Reactor {
                                             &mut c.stalled,
                                             senders,
                                             metrics,
-                                            ring.as_deref(),
                                             shard,
                                             Job::Open { key, sink },
                                         )
@@ -851,7 +797,6 @@ impl Reactor {
                                 let cmd = match (corrupt_at, cmd) {
                                     (Some(at), WireCommand::Data(payload)) => {
                                         metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
-                                        record_fault(ring.as_deref(), FaultSite::CorruptPayload);
                                         let mut raw = Vec::with_capacity(payload.len());
                                         for piece in payload.pieces() {
                                             raw.extend_from_slice(piece);
@@ -930,7 +875,7 @@ impl Reactor {
                                                         },
                                                     );
                                                 } else {
-                                                    note_parked(metrics, ring.as_deref(), shard);
+                                                    note_parked(metrics, shard);
                                                     let mut job = job;
                                                     mark_parked(&mut job);
                                                     c.stalled.push_back((shard, job));
@@ -944,7 +889,7 @@ impl Reactor {
                                     } else {
                                         // A parked Open precedes this Size:
                                         // FIFO order is sacred.
-                                        note_parked(metrics, ring.as_deref(), shard);
+                                        note_parked(metrics, shard);
                                         c.stalled.push_back((
                                             shard,
                                             Job::Command {
@@ -959,7 +904,6 @@ impl Reactor {
                                     &mut c.stalled,
                                     senders,
                                     metrics,
-                                    ring.as_deref(),
                                     shard,
                                     Job::Command {
                                         key,
@@ -999,7 +943,6 @@ impl Reactor {
             let cap = match clamp {
                 Some(amount) => {
                     metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
-                    record_fault(ring.as_deref(), FaultSite::ShortRead);
                     amount + 1
                 }
                 None => cfg.read_buffer,
@@ -1015,9 +958,6 @@ impl Reactor {
                     break;
                 }
                 Ok(Fill { bytes, short }) => {
-                    if let Some(r) = ring {
-                        r.record(RingTag::Read, bytes as u64);
-                    }
                     budget = budget.saturating_sub(bytes);
                     // The receive queue is empty: decode what arrived and
                     // wait for the next edge instead of reading again into
@@ -1044,9 +984,6 @@ impl Reactor {
             metrics
                 .short_read_continuations
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(r) = ring {
-                r.record(RingTag::ShortRead, conn);
-            }
         }
         // Fold the rope's copy accounting into the shared metrics: data
         // frames decoded, and payloads copied (structurally zero on this
@@ -1073,7 +1010,6 @@ impl Reactor {
             senders,
             conns,
             metrics,
-            ring,
             ..
         } = self;
         let Some(c) = conns.get_mut(&conn) else {
@@ -1095,14 +1031,7 @@ impl Reactor {
         entries.sort_unstable_by_key(|(ch, _)| *ch);
         for (channel, ch) in entries {
             let key = ChannelKey { conn, channel };
-            match enqueue(
-                stalled,
-                senders,
-                metrics,
-                ring.as_deref(),
-                ch.shard,
-                Job::Close { key },
-            ) {
+            match enqueue(stalled, senders, metrics, ch.shard, Job::Close { key }) {
                 Ok(true) => ch.close = CloseState::Sent,
                 Ok(false) => ch.close = CloseState::Queued,
                 Err(()) => return false,
@@ -1202,9 +1131,6 @@ impl Reactor {
         self.metrics
             .connections_current
             .fetch_sub(1, Ordering::Relaxed);
-        if let Some(r) = &self.ring {
-            r.record(RingTag::ConnClose, conn);
-        }
         // Dropping the stream closes the fd.
     }
 

@@ -20,7 +20,6 @@ use crate::chaos::{ChaosConfig, FaultPlan};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::outbound::{NewConn, ReactorWaker};
 use crate::reactor::{spawn_reactor, ReactorConfig, ReactorControl};
-use crate::ring::RingSet;
 use crate::trace::{HistoryRing, HistorySlot};
 use crate::worker::WorkerPool;
 
@@ -65,10 +64,6 @@ pub struct ServiceConfig {
     /// config with every rate at zero) serves clean. Same seed + same
     /// client schedule ⇒ same fault schedule.
     pub chaos: Option<ChaosConfig>,
-    /// Keep a per-reactor flight recorder (a fixed-size lock-free event
-    /// ring, [`crate::ring::EventRing`]) of reactor-loop events. Off by
-    /// default; when on, `GetStats { detail: 1 }` dumps the rings.
-    pub trace_ring: bool,
     /// Head-based document trace sampling: keep 1-in-N spans (0 = off).
     /// Faulted and `trace_slow_us` documents are kept regardless; spans
     /// leave via `GetStats { detail: 2 }`.
@@ -97,7 +92,6 @@ impl Default for ServiceConfig {
             slow_consumer_deadline: Duration::from_secs(10),
             send_buffer: 0,
             chaos: None,
-            trace_ring: false,
             trace_sample: 0,
             trace_slow_us: 0,
             history_interval: Duration::from_secs(1),
@@ -139,7 +133,6 @@ pub struct ServerHandle {
     accept_thread: Option<JoinHandle<()>>,
     sampler_thread: Option<JoinHandle<()>>,
     metrics: Arc<ServiceMetrics>,
-    rings: Option<Arc<RingSet>>,
     history: Arc<HistoryRing>,
 }
 
@@ -152,12 +145,6 @@ impl ServerHandle {
     /// Shared metrics.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
         &self.metrics
-    }
-
-    /// The per-reactor flight-recorder rings, when the server was started
-    /// with [`ServiceConfig::trace_ring`].
-    pub fn rings(&self) -> Option<&Arc<RingSet>> {
-        self.rings.as_ref()
     }
 
     /// The time-series history ring the sampler thread feeds.
@@ -270,18 +257,11 @@ pub fn serve(
         max_channels: config.max_channels.max(1),
     };
     let reactor_count = config.effective_reactors();
-    // One flight-recorder ring per reactor thread, so recording is
-    // contention-free in the steady state (the ring itself is still
-    // multi-producer safe for the waker's cross-thread fault records).
-    let rings: Option<Arc<RingSet>> = config
-        .trace_ring
-        .then(|| Arc::new(RingSet::new(reactor_count)));
     let mut wakers: Vec<Arc<ReactorWaker>> = Vec::with_capacity(reactor_count);
     let mut reactor_threads: Vec<JoinHandle<()>> = Vec::with_capacity(reactor_count);
     let spawned: std::io::Result<()> = (0..reactor_count).try_for_each(|i| {
         let waker = Arc::new(ReactorWaker::new(
             plan.as_ref().map(|p| (Arc::clone(p), Arc::clone(&metrics))),
-            rings.as_ref().and_then(|r| r.ring(i)).cloned(),
         )?);
         let handle = spawn_reactor(
             i,
@@ -293,7 +273,6 @@ pub fn serve(
                 shutdown: Arc::clone(&shutdown),
                 drain: Arc::clone(&draining),
                 plan: plan.clone(),
-                rings: rings.clone(),
                 history: Some(Arc::clone(&history)),
             },
             reactor_cfg.clone(),
@@ -466,7 +445,6 @@ pub fn serve(
         accept_thread: Some(accept_thread),
         sampler_thread: Some(sampler_thread),
         metrics,
-        rings,
         history,
     })
 }

@@ -3,12 +3,12 @@
 //!
 //! The default build re-exports `std`; a model-checking build
 //! (`RUSTFLAGS="--cfg loom" cargo test -p lc-service --test loom_model`)
-//! re-exports the `loom` shim's instrumented types instead, so the
-//! `EventRing`, `ServiceMetrics`/`ShardCounters`, and the outbound
-//! high-water mask/unmask state machine run with a scheduling point at
-//! every atomic access and their ordering claims can be checked against
-//! every reachable interleaving rather than the ones a lucky scheduler
-//! happens to produce.
+//! re-exports the `loom` shim's instrumented types instead, so
+//! `ServiceMetrics`/`ShardCounters` and the outbound high-water
+//! mask/unmask state machine run with a scheduling point at every atomic
+//! access and their ordering claims can be checked against every
+//! reachable interleaving rather than the ones a lucky scheduler happens
+//! to produce.
 //!
 //! Only the types the modeled structures touch are routed through here;
 //! `Mutex`, channels, and I/O keep their `std` identities in both builds

@@ -19,102 +19,9 @@
 #![cfg(loom)]
 
 use lc_service::metrics::ServiceMetrics;
-use lc_service::ring::{EventRing, RingTag, RING_ENTRIES};
 use lc_service::{high_water_op, MaskOp, SpanRecord};
 use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use loom::sync::Arc;
-use std::collections::HashSet;
-use std::sync::Mutex;
-
-/// Two producers race `EventRing::record` (the reactor plus the waker's
-/// `wake_drop` chaos site): the relaxed `fetch_add` slot claim must hand
-/// out distinct slots under *every* schedule, so a quiescent dump shows
-/// all four records whole — no claim lost, no record torn.
-#[test]
-fn ring_two_producer_records_never_torn_and_no_claim_lost() {
-    let schedules = loom::model(|| {
-        let ring = Arc::new(EventRing::new());
-        let handles: Vec<_> = (0..2u64)
-            .map(|t| {
-                let ring = Arc::clone(&ring);
-                loom::thread::spawn(move || {
-                    let tag = if t == 0 { RingTag::Read } else { RingTag::Park };
-                    ring.record(tag, t * 10);
-                    ring.record(tag, t * 10 + 1);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ring.recorded(), 4, "a head claim was lost");
-        let events = ring.dump();
-        assert_eq!(events.len(), 4, "a claimed slot stayed unwritten");
-        let written: HashSet<(u8, u64)> = [
-            (RingTag::Read as u8, 0),
-            (RingTag::Read as u8, 1),
-            (RingTag::Park as u8, 10),
-            (RingTag::Park as u8, 11),
-        ]
-        .into_iter()
-        .collect();
-        let seen: HashSet<(u8, u64)> = events.iter().map(|e| (e.tag, e.arg)).collect();
-        assert_eq!(seen, written, "a record was torn or overwritten");
-        assert!(events.iter().all(|e| e.ts_ns >= 1));
-    });
-    assert!(
-        schedules >= 100,
-        "two-producer exploration too shallow: {schedules} schedules"
-    );
-}
-
-/// A dump racing a producer (the `GetStats(detail=ring)` reader) may see
-/// a record mid-write, but only *visibly* so: every observed word pair
-/// is either a fully written record or the unwritten placeholder
-/// (tag 0 ⇒ "unknown") — never a silently wrong tag/arg pairing. The
-/// exploration must also actually reach a partial observation, or the
-/// property would be vacuous.
-#[test]
-fn concurrent_dump_is_never_silently_wrong() {
-    let partial_seen = Arc::new(Mutex::new(false));
-    let partial = Arc::clone(&partial_seen);
-    loom::model(move || {
-        let ring = Arc::new(EventRing::new());
-        let writer = {
-            let ring = Arc::clone(&ring);
-            loom::thread::spawn(move || {
-                ring.record(RingTag::Read, 7);
-                ring.record(RingTag::Write, 9);
-            })
-        };
-        let events = ring.dump();
-        for ev in &events {
-            let whole = (ev.tag, ev.arg) == (RingTag::Read as u8, 7)
-                || (ev.tag, ev.arg) == (RingTag::Write as u8, 9);
-            let visibly_unwritten = ev.tag == 0 && ev.arg == 0;
-            assert!(
-                whole || visibly_unwritten,
-                "silently wrong record: tag={} arg={}",
-                ev.tag,
-                ev.arg
-            );
-            if visibly_unwritten {
-                assert_eq!(RingTag::name(ev.tag), "unknown");
-            }
-        }
-        if events.len() < 2 {
-            *partial.lock().unwrap() = true;
-        }
-        writer.join().unwrap();
-        let settled = ring.dump();
-        assert_eq!(settled.len(), 2);
-    });
-    assert!(
-        *partial_seen.lock().unwrap(),
-        "no schedule observed a mid-write dump; the race is not being explored"
-    );
-    assert!(RING_ENTRIES >= 4, "model ring too small for two records");
-}
 
 /// A 10-byte document latched on shard 1.
 fn shard1_doc() -> SpanRecord {

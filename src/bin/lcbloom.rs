@@ -82,14 +82,14 @@ fn print_usage() {
          \x20                  [--reactors N] [--max-connections N] [--max-channels N]\n\
          \x20                  [--outbound-high-water BYTES] [--slow-consumer-ms N]\n\
          \x20                  [--watchdog-ms N] [--stats-secs N] [--stats-interval N]\n\
-         \x20                  [--m KBITS] [--k K] [--subsample S] [--trace-ring]\n\
+         \x20                  [--m KBITS] [--k K] [--subsample S]\n\
          \x20                  [--trace-sample N] [--trace-slow-us T]\n\
          \x20                  [--history-interval-ms N]\n\
          \x20                  [--drain-deadline-ms N] [--chaos-seed S] [--chaos-rate R]\n\
          \x20                  [--force-scalar]\n\
          \x20 lcbloom query    --addr HOST:PORT [--channels N] [--window W]\n\
          \x20                  [--timeout-ms N] [--timing] [--force-scalar] FILE...\n\
-         \x20 lcbloom stats    --addr HOST:PORT [--watch SECS] [--ring]\n\
+         \x20 lcbloom stats    --addr HOST:PORT [--watch SECS]\n\
          \x20 lcbloom trace    --addr HOST:PORT [--follow] [--interval SECS]\n\
          \x20 lcbloom top      --addr HOST:PORT [--interval SECS] [--once]\n\
          \x20 lcbloom simd\n\
@@ -98,11 +98,10 @@ fn print_usage() {
          `train` expects one directory per language, named by its code (en, fr, ...),\n\
          each containing plain-text files. `classify` and `query` accept `-` for stdin.\n\
          `stats` asks a live server for its metrics snapshot over the wire (--watch\n\
-         repeats every SECS, with server-side rates from the history ring; --ring\n\
-         also dumps the --trace-ring flight recorders). `trace` drains the server's\n\
-         per-document spans (faulted documents always; sampled and slow ones with\n\
-         serve --trace-sample N / --trace-slow-us T) and renders a stage waterfall\n\
-         per span; --follow polls until interrupted. `top`\n\
+         repeats every SECS, with server-side rates from the history ring). `trace`\n\
+         drains the server's per-document spans (faulted documents always; sampled\n\
+         and slow ones with serve --trace-sample N / --trace-slow-us T) and renders\n\
+         a stage waterfall per span; --follow polls until interrupted. `top`\n\
          renders sparkline rate tables from the server's history ring.\n\
          `--timing` prints p50/p95/p99 in the server's latency buckets; for `query`\n\
          the times come from server-side sampled spans, so the batch stays pipelined.\n\
@@ -399,7 +398,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "trace-slow-us",
             "history-interval-ms",
         ],
-        &["trace-ring", "force-scalar"],
+        &["force-scalar"],
     )?;
     let (_, classifier) = load_classifier(&flags)?;
     let addr = flags
@@ -447,7 +446,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 ..Default::default()
             })
         },
-        trace_ring: flags.contains_key("trace-ring"),
         // --trace-sample N samples every Nth document's span (1 = all,
         // 0 = off) and --trace-slow-us adds the stragglers; faulted
         // documents are always captured.
@@ -724,7 +722,7 @@ fn print_timing(hist: &[u64; lcbloom::service::LATENCY_BUCKETS]) {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args, &["addr", "watch"], &["ring"])?;
+    let (flags, _) = parse_flags(args, &["addr", "watch"], &[])?;
     let addr = flags
         .get("addr")
         .map(String::as_str)
@@ -733,11 +731,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     // --watch asks for detail 2 so each refresh carries the server's own
     // history ring: the rates printed are server-computed over measured
     // intervals, not client-side deltas between polls.
-    let detail = if watch > 0 {
-        2
-    } else {
-        u8::from(flags.contains_key("ring"))
-    };
+    let detail = if watch > 0 { 2 } else { 0 };
     // A dedicated connection: GetStats must not interleave with document
     // responses, and a fresh connection has none in flight by construction.
     let mut client =
@@ -757,7 +751,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 
 /// Print a wire-fetched snapshot: the compact one-line summary first, then
 /// one greppable `key: value` line per aggregate and one line per shard /
-/// stage / ring event (what the CI smoke steps and shell pipelines parse).
+/// stage (what the CI smoke steps and shell pipelines parse).
 fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
     println!("{snap}");
     println!("documents: {}", snap.documents);
@@ -814,16 +808,6 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
         .collect();
     if !wake_dist.is_empty() {
         println!("events-per-wake: {}", wake_dist.join(" "));
-    }
-    for (r, events) in snap.rings.iter().enumerate() {
-        for ev in events {
-            println!(
-                "ring[{r}] +{:>12.6}s {} arg={}",
-                ev.ts_ns as f64 / 1e9,
-                lcbloom::service::RingTag::name(ev.tag),
-                ev.arg
-            );
-        }
     }
     // Server-computed rates from the history ring (detail 2): the last few
     // slots, newest last, each a measured-interval delta.
