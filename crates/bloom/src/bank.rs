@@ -19,31 +19,30 @@
 //! whose entry at address `a` is a `p`-bit **language mask** — bit `j` set
 //! iff language `j`'s vector-`i` bit at `a` is set.
 //!
-//! Mask entries are stored at the narrowest power-of-two width that holds
-//! `p` bits (`u8`/`u16`/`u32`/`u64`), which keeps the hot arrays small — the
-//! paper's 8-language configuration packs each mask into one byte, an 8×
-//! smaller working set than uniform `u64` words, small enough to stay
-//! cache-resident. `p > 64` uses `ceil(p/64)` little-endian `u64` words per
-//! mask, so any language count works transparently.
+//! Up to 32 languages, mask entries are stored at the narrowest width that
+//! holds `p` bits (`u8`/`u16`/`u32`), which keeps the hot arrays small — the
+//! paper's 8-language configuration packs each mask into one byte, small
+//! enough to stay cache-resident. Languages are independent columns, so a
+//! wider bank is `G = ceil(p/32)` `u32` **slices**, slice `g` holding
+//! languages `32g..32g + 32`. They are interleaved: entry `a` is the `G`
+//! consecutive words `row[a·G..a·G + G]`, so one address's slices share a
+//! cache line.
 //!
 //! A membership test of one n-gram against all `p` languages becomes:
 //!
 //! 1. compute the `k` addresses once (fused H3 evaluation, with `k` fixed
 //!    at compile time — [`BloomParams::MAX_K`] caps it — so one loop shape
 //!    serves every bank),
-//! 2. load `k` masks — one contiguous load per hash function and mask
-//!    word,
+//! 2. load `k` masks — one load per hash function and slice,
 //! 3. AND-reduce them (languages whose every per-hash bit was set survive),
-//! 4. count the surviving languages. For `p ≤ 32` each mask byte indexes
-//!    [`SPREAD8`], and one 64-bit add bumps eight packed byte counters at
-//!    once, branch-free; the packed bytes drain into the `u64` counters
-//!    before any can wrap. Wider masks scatter-add their set bits
-//!    (`trailing_zeros` loop, one increment per matching language). The
-//!    AVX2 engine counts its 8-key blocks of `p ≤ 32` masks in vector
+//! 4. count the surviving languages: each mask byte indexes [`SPREAD8`],
+//!    and one 64-bit add bumps eight packed byte counters at once,
+//!    branch-free; the packed bytes drain into the `u64` counters before
+//!    any can wrap. The AVX2 engine counts its 8-key blocks in vector
 //!    registers instead (see the `simd` module).
 //!
-//! That is `k` loads + one AND per n-gram instead of `p·k` loads — the same
-//! fan-out the paper's datapath gets from wiring.
+//! That is `k` loads + one AND per n-gram and slice instead of `p·k` loads —
+//! the same fan-out the paper's datapath gets from wiring.
 //!
 //! # Invariants
 //!
@@ -53,7 +52,7 @@
 //! * Addresses produced by the shared hash family are `< m` by construction
 //!   (H3 output width equals the vector address width), so the hot path
 //!   performs no per-language assertions.
-//! * Every row holds `m · words_per_mask` entries plus
+//! * Every row holds `m · G` entries (`G = 1` up to 32 languages) plus
 //!   [`MaskWord::GATHER_PAD`] zero entries, so a 4-byte AVX2 gather at the
 //!   last address stays inside the row.
 
@@ -61,7 +60,6 @@ use crate::params::BloomParams;
 use crate::simd::Avx2Probe;
 use crate::ParallelBloomFilter;
 use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel};
-use std::marker::PhantomData;
 use std::ops::BitAnd;
 
 /// A push-style source of query keys — the fused-path analogue of an
@@ -88,42 +86,81 @@ impl<I: IntoIterator<Item = u64>> KeySource for I {
 }
 
 /// A mask storage element: the bit-sliced arrays hold language masks at the
-/// narrowest width that fits `p`.
-pub(crate) trait MaskWord: Copy + BitAnd<Output = Self> {
+/// narrowest width that fits `p`, and `u32` slices past 32 languages.
+pub(crate) trait MaskWord: Copy + Default + BitAnd<Output = Self> + Into<u64> {
     /// Bits per element.
     const BITS: usize;
-    /// All-zero element.
-    const ZERO: Self;
     /// Zero entries after each row's last address: an AVX2 gather reads
     /// 4 bytes at an entry's offset, so `u8` rows need 3 more bytes and
-    /// `u16` rows 1 more entry; wider entries are read at exact width.
-    const GATHER_PAD: usize;
+    /// `u16` rows 1 more entry.
+    const GATHER_PAD: usize = 32 / Self::BITS - 1;
     /// Set bit `j` (`j < BITS`).
     fn set_bit(&mut self, j: usize);
-    /// Widen to u64 for counting.
-    fn to_u64(self) -> u64;
 }
 
 macro_rules! impl_mask_word {
-    ($($t:ty => $pad:expr),*) => {$(
+    ($($t:ty),*) => {$(
         impl MaskWord for $t {
             const BITS: usize = <$t>::BITS as usize;
-            const ZERO: Self = 0;
-            const GATHER_PAD: usize = $pad;
 
             #[inline]
             fn set_bit(&mut self, j: usize) {
                 *self |= 1 << j;
             }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
         }
     )*};
 }
-impl_mask_word!(u8 => 3, u16 => 1, u32 => 0, u64 => 0);
+impl_mask_word!(u8, u16, u32);
+
+/// The words one mask entry spans in a row: [`One`] up to 32 languages,
+/// known at compile time, or a sliced bank's run-time slice count `G`.
+pub(crate) trait Stride: Copy {
+    /// One `T` per slice. [`One`]'s is an array, so its counters can stay
+    /// in registers.
+    type Each<T: Copy>: AsMut<[T]>;
+    /// Words per entry.
+    fn get(self) -> usize;
+    /// `init` for every slice.
+    fn each<T: Copy>(self, init: T) -> Self::Each<T>;
+    /// Move `each` out for a hot loop: an array is copied, a `Vec` taken.
+    fn take<T: Copy>(each: &mut Self::Each<T>) -> Self::Each<T>;
+}
+
+/// The stride of a bank of up to 32 languages: one word per entry.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct One;
+
+impl Stride for One {
+    type Each<T: Copy> = [T; 1];
+
+    fn get(self) -> usize {
+        1
+    }
+
+    fn each<T: Copy>(self, init: T) -> [T; 1] {
+        [init]
+    }
+
+    fn take<T: Copy>(each: &mut [T; 1]) -> [T; 1] {
+        *each
+    }
+}
+
+impl Stride for usize {
+    type Each<T: Copy> = Vec<T>;
+
+    fn get(self) -> usize {
+        self
+    }
+
+    fn each<T: Copy>(self, init: T) -> Vec<T> {
+        vec![init; self]
+    }
+
+    fn take<T: Copy>(each: &mut Vec<T>) -> Vec<T> {
+        std::mem::take(each)
+    }
+}
 
 /// `SPREAD8[m]` has byte `j` equal to bit `j` of `m`: one table load turns
 /// eight languages' match bits into eight 0/1 byte increments, so a count
@@ -151,28 +188,23 @@ static SPREAD8: [u64; 256] = {
 /// draining at 255 means no lane ever wraps.
 const FLUSH_AT: u32 = 255;
 
-/// The per-language match counter of the scalar loop, which the AVX2
-/// engine also feeds with its `u64` rows and its leftover keys, for masks
-/// of width `W`. Up to `u32`, language `8w + j` counts in byte `j` of
-/// `packed[w]` (one [`SPREAD8`] add per mask byte), drained into `counts`
-/// every [`FLUSH_AT`] keys; `u64` masks scatter-add straight into `counts`.
-/// Call [`Self::finish`] to drain what is left.
-pub(crate) struct Tally<'a, W> {
+/// The per-language match counter of the scalar loop and of the AVX2
+/// engine's leftover keys, for masks in slices of stride `D`.
+/// Language `32g + 8w + j` counts in byte `j` of `packed[g][w]` (one
+/// [`SPREAD8`] add per mask byte), drained into `counts` every
+/// [`FLUSH_AT`] keys. Call [`Self::flush`] to drain what is left.
+pub(crate) struct Tally<'a, D: Stride> {
     counts: &'a mut [u64],
-    packed: [u64; 4],
+    packed: D::Each<[u64; 4]>,
     pending: u32,
-    width: PhantomData<W>,
 }
 
-impl<'a, W: MaskWord> Tally<'a, W> {
-    const PACKED: bool = W::BITS <= 32;
-
-    pub(crate) fn new(counts: &'a mut [u64]) -> Self {
+impl<'a, D: Stride> Tally<'a, D> {
+    pub(crate) fn new(counts: &'a mut [u64], stride: D) -> Self {
         Self {
             counts,
-            packed: [0; 4],
+            packed: stride.each([0; 4]),
             pending: 0,
-            width: PhantomData,
         }
     }
 
@@ -182,21 +214,14 @@ impl<'a, W: MaskWord> Tally<'a, W> {
         self.counts
     }
 
-    /// Count word `w` of one key's match mask (bit `b` is language
-    /// `64w + b`); packed widths only have word 0. Call [`Self::tick`]
-    /// once the key's words are counted.
+    /// Count slice `g` of one key's match mask (bit `b` is language
+    /// `32g + b`). Call [`Self::tick`] once the key's slices are counted.
     #[inline]
-    pub(crate) fn count(&mut self, w: usize, mask: u64) {
-        if Self::PACKED {
-            for (b, lane) in self.packed[..W::BITS / 8].iter_mut().enumerate() {
-                *lane = lane.wrapping_add(SPREAD8[(mask >> (8 * b) & 0xFF) as usize]);
-            }
-        } else {
-            let mut mask = mask;
-            while mask != 0 {
-                self.counts[64 * w + mask.trailing_zeros() as usize] += 1;
-                mask &= mask - 1;
-            }
+    pub(crate) fn count<W: MaskWord>(&mut self, g: usize, mask: W) {
+        let mask: u64 = mask.into();
+        let packed = &mut self.packed.as_mut()[g];
+        for (b, lane) in packed[..W::BITS / 8].iter_mut().enumerate() {
+            *lane = lane.wrapping_add(SPREAD8[(mask >> (8 * b) & 0xFF) as usize]);
         }
     }
 
@@ -204,48 +229,48 @@ impl<'a, W: MaskWord> Tally<'a, W> {
     /// once they could next wrap.
     #[inline]
     pub(crate) fn tick(&mut self) {
-        if Self::PACKED {
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        for (j, c) in self.counts.iter_mut().enumerate() {
-            *c += (self.packed[j / 8] >> (8 * (j % 8))) & 0xFF;
-        }
-        self.packed = [0; 4];
-        self.pending = 0;
-    }
-
-    /// Drain the packed counters into `counts`.
-    pub(crate) fn finish(mut self) {
-        if Self::PACKED {
+        self.pending += 1;
+        if self.pending >= FLUSH_AT {
             self.flush();
         }
     }
+
+    /// Drain the packed counters into `counts`.
+    pub(crate) fn flush(&mut self) {
+        for (packed, counts) in self
+            .packed
+            .as_mut()
+            .iter_mut()
+            .zip(self.counts.chunks_mut(32))
+        {
+            for (j, c) in counts.iter_mut().enumerate() {
+                *c += (packed[j / 8] >> (8 * (j % 8))) & 0xFF;
+            }
+            *packed = [0; 4];
+        }
+        self.pending = 0;
+    }
 }
 
-/// Hash `key`, AND-reduce its `K` masks of `wpm` words each, and count
-/// them: the one probe step of the scalar loop and of the AVX2 path's
-/// leftover keys. Word `w` of the mask at address `a` is `row[a · wpm + w]`.
+/// Hash `key`, AND-reduce its `K` masks slice by slice, and count them:
+/// the one probe step of the scalar loop and of the AVX2 path's leftover
+/// keys. Slice `g` of the mask at address `a` is `row[a · G + g]`.
 #[inline]
-pub(crate) fn probe<const K: usize, W: MaskWord>(
+pub(crate) fn probe<const K: usize, W: MaskWord, D: Stride>(
     eval: &FusedEvaluatorK<'_, K>,
     rows: &[&[W]; K],
-    wpm: usize,
+    stride: D,
     key: u64,
-    tally: &mut Tally<'_, W>,
+    tally: &mut Tally<'_, D>,
 ) {
     let addrs = eval.hash_all_array(key);
-    for w in 0..wpm {
-        let mut mask = rows[0][addrs[0] as usize * wpm + w];
+    let slices = stride.get();
+    for g in 0..slices {
+        let mut mask = rows[0][addrs[0] as usize * slices + g];
         for i in 1..K {
-            mask = mask & rows[i][addrs[i] as usize * wpm + w];
+            mask = mask & rows[i][addrs[i] as usize * slices + g];
         }
-        tally.count(w, mask.to_u64());
+        tally.count(g, mask);
     }
     tally.tick();
 }
@@ -259,8 +284,8 @@ enum MaskSlices {
     W16(Vec<Box<[u16]>>),
     /// `p <= 32`.
     W32(Vec<Box<[u32]>>),
-    /// `p <= 64`, or `p > 64` with `ceil(p/64)` words per mask.
-    W64(Vec<Box<[u64]>>),
+    /// `p > 32`: `ceil(p/32)` interleaved `u32` slices per entry.
+    Sliced(Vec<Box<[u32]>>),
 }
 
 /// Bit-sliced multi-language Bloom engine: per hash function, one
@@ -273,9 +298,6 @@ pub struct FilterBank {
     hashes: H3Family,
     /// Number of languages `p`.
     languages: usize,
-    /// `ceil(p / 64)`: u64 words per language mask in the widened
-    /// ([`Self::match_mask`]) representation.
-    words_per_mask: usize,
     slices: MaskSlices,
     /// The AVX2 probe engine, built once at construction when runtime
     /// dispatch lands on AVX2 and the bank shape has a vector fast path;
@@ -306,7 +328,6 @@ impl FilterBank {
             );
         }
         let p = filters.len();
-        let words_per_mask = p.div_ceil(64);
         let slices = if p <= 8 {
             MaskSlices::W8(Self::build_slices::<u8>(filters, params, 1))
         } else if p <= 16 {
@@ -314,13 +335,12 @@ impl FilterBank {
         } else if p <= 32 {
             MaskSlices::W32(Self::build_slices::<u32>(filters, params, 1))
         } else {
-            MaskSlices::W64(Self::build_slices::<u64>(filters, params, words_per_mask))
+            MaskSlices::Sliced(Self::build_slices::<u32>(filters, params, p.div_ceil(32)))
         };
         let mut bank = Self {
             params,
             hashes,
             languages: p,
-            words_per_mask,
             slices,
             simd: None,
         };
@@ -328,18 +348,18 @@ impl FilterBank {
         bank
     }
 
-    /// Build the `k` bit-sliced arrays at element width `W` (`wpm` elements
-    /// per address; > 1 only for the u64 multi-word case), each followed by
+    /// Build the `k` bit-sliced arrays at element width `W` (`stride`
+    /// elements per address; > 1 only for sliced banks), each followed by
     /// `W::GATHER_PAD` zero entries.
     fn build_slices<W: MaskWord>(
         filters: &[ParallelBloomFilter],
         params: BloomParams,
-        wpm: usize,
+        stride: usize,
     ) -> Vec<Box<[W]>> {
         let m = params.m_bits();
         let mut slices = Vec::with_capacity(params.k);
         for i in 0..params.k {
-            let mut slice = vec![W::ZERO; m * wpm + W::GATHER_PAD].into_boxed_slice();
+            let mut slice = vec![W::default(); m * stride + W::GATHER_PAD].into_boxed_slice();
             for (j, f) in filters.iter().enumerate() {
                 let (word_idx, bit) = (j / W::BITS, j % W::BITS);
                 // Walk the language's set bits word-by-word instead of
@@ -348,7 +368,7 @@ impl FilterBank {
                     let mut word = word;
                     while word != 0 {
                         let a = w * 64 + word.trailing_zeros() as usize;
-                        slice[a * wpm + word_idx].set_bit(bit);
+                        slice[a * stride + word_idx].set_bit(bit);
                         word &= word - 1;
                     }
                 }
@@ -368,20 +388,14 @@ impl FilterBank {
         self.languages
     }
 
-    /// `u64` words per language mask (`ceil(p / 64)`) in the widened
-    /// representation returned by [`Self::match_mask`].
-    pub fn words_per_mask(&self) -> usize {
-        self.words_per_mask
-    }
-
-    /// Storage bits per (hash, address) mask entry (8/16/32 for narrow
-    /// banks, `64 × words_per_mask` otherwise).
+    /// Storage bits per (hash, address) mask entry: 8/16/32 up to 32
+    /// languages, `32 × ceil(p/32)` (the slices) past that.
     pub fn mask_entry_bits(&self) -> usize {
         match &self.slices {
             MaskSlices::W8(_) => 8,
             MaskSlices::W16(_) => 16,
             MaskSlices::W32(_) => 32,
-            MaskSlices::W64(_) => 64 * self.words_per_mask,
+            MaskSlices::Sliced(_) => 32 * self.languages.div_ceil(32),
         }
     }
 
@@ -424,7 +438,7 @@ impl FilterBank {
     pub fn match_mask(&self, key: u64) -> Vec<u64> {
         let mut counts = vec![0u64; self.languages];
         self.accumulate_keys([key], &mut counts);
-        let mut mask = vec![0u64; self.words_per_mask];
+        let mut mask = vec![0u64; self.languages.div_ceil(64)];
         for (j, &c) in counts.iter().enumerate() {
             mask[j / 64] |= c << (j % 64);
         }
@@ -460,11 +474,11 @@ impl FilterBank {
 
     /// The fused probe entry: drain `src` through the bank, incrementing
     /// `counts[j]` for each key matching language `j`. Dispatches **once**
-    /// per batch to a loop monomorphized over the mask width
-    /// (u8/u16/u32/u64) and the compile-time `k` — the source's per-key
-    /// state machine (e.g. the n-gram shift register) inlines into that
-    /// loop, so extraction and probe fuse into one pass with no
-    /// intermediate key buffer.
+    /// per batch to a loop monomorphized over the mask width (u8/u16/u32
+    /// rows, or `u32` slices), the stride and the compile-time `k` — the
+    /// source's per-key state machine (e.g. the n-gram shift register)
+    /// inlines into that loop, so extraction and probe fuse into one pass
+    /// with no intermediate key buffer.
     ///
     /// # Panics
     ///
@@ -476,10 +490,12 @@ impl FilterBank {
             "one counter per banked language"
         );
         match &self.slices {
-            MaskSlices::W8(s) => self.accumulate_width(s, src, counts),
-            MaskSlices::W16(s) => self.accumulate_width(s, src, counts),
-            MaskSlices::W32(s) => self.accumulate_width(s, src, counts),
-            MaskSlices::W64(s) => self.accumulate_width(s, src, counts),
+            MaskSlices::W8(s) => self.accumulate_width(s, One, src, counts),
+            MaskSlices::W16(s) => self.accumulate_width(s, One, src, counts),
+            MaskSlices::W32(s) => self.accumulate_width(s, One, src, counts),
+            MaskSlices::Sliced(s) => {
+                self.accumulate_width(s, self.languages.div_ceil(32), src, counts)
+            }
         }
     }
 
@@ -487,31 +503,32 @@ impl FilterBank {
     /// the fused hash unrolls and the `k` mask loads issue back-to-back
     /// with no loop-carried control flow. [`BloomParams::new`] caps `k` at
     /// [`BloomParams::MAX_K`], so every bank has an arm.
-    fn accumulate_width<W: MaskWord, S: KeySource>(
+    fn accumulate_width<W: MaskWord, D: Stride, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
+        stride: D,
         src: S,
         counts: &mut [u64],
     ) {
         match self.params.k {
-            1 => self.accumulate_k::<1, W, S>(slices, src, counts),
-            2 => self.accumulate_k::<2, W, S>(slices, src, counts),
-            3 => self.accumulate_k::<3, W, S>(slices, src, counts),
-            4 => self.accumulate_k::<4, W, S>(slices, src, counts),
-            5 => self.accumulate_k::<5, W, S>(slices, src, counts),
-            6 => self.accumulate_k::<6, W, S>(slices, src, counts),
-            7 => self.accumulate_k::<7, W, S>(slices, src, counts),
-            8 => self.accumulate_k::<8, W, S>(slices, src, counts),
+            1 => self.accumulate_k::<1, W, D, S>(slices, stride, src, counts),
+            2 => self.accumulate_k::<2, W, D, S>(slices, stride, src, counts),
+            3 => self.accumulate_k::<3, W, D, S>(slices, stride, src, counts),
+            4 => self.accumulate_k::<4, W, D, S>(slices, stride, src, counts),
+            5 => self.accumulate_k::<5, W, D, S>(slices, stride, src, counts),
+            6 => self.accumulate_k::<6, W, D, S>(slices, stride, src, counts),
+            7 => self.accumulate_k::<7, W, D, S>(slices, stride, src, counts),
+            8 => self.accumulate_k::<8, W, D, S>(slices, stride, src, counts),
             k => unreachable!("k = {k} exceeds BloomParams::MAX_K"),
         }
     }
 
     /// The probe loop with compile-time `K`: the AVX2 engine when one was
-    /// built, else the scalar loop over `words_per_mask` words per mask
-    /// (a constant 1 below `u64` rows).
-    fn accumulate_k<const K: usize, W: MaskWord, S: KeySource>(
+    /// built, else the scalar loop over the `stride` slices of each mask.
+    fn accumulate_k<const K: usize, W: MaskWord, D: Stride, S: KeySource>(
         &self,
         slices: &[Box<[W]>],
+        stride: D,
         src: S,
         counts: &mut [u64],
     ) {
@@ -522,16 +539,11 @@ impl FilterBank {
         // lazy-init or K == k check inside the loop.
         let eval = self.hashes.fused_evaluator_k::<K>();
         if let Some(engine) = &self.simd {
-            return engine.accumulate(&rows, eval, src, counts);
+            return engine.accumulate(&rows, stride, eval, src, counts);
         }
-        let wpm = if W::BITS == 64 {
-            self.words_per_mask
-        } else {
-            1
-        };
-        let mut tally = Tally::<W>::new(counts);
-        src.for_each_key(|key| probe(&eval, &rows, wpm, key, &mut tally));
-        tally.finish();
+        let mut tally = Tally::new(counts, stride);
+        src.for_each_key(|key| probe(&eval, &rows, stride, key, &mut tally));
+        tally.flush();
     }
 }
 
@@ -595,22 +607,27 @@ mod tests {
     fn shape_accessors() {
         let (_, bank) = bank_fixture(8, BloomParams::PAPER_CONSERVATIVE, 100, 1);
         assert_eq!(bank.languages(), 8);
-        assert_eq!(bank.words_per_mask(), 1);
         assert_eq!(bank.params(), BloomParams::PAPER_CONSERVATIVE);
         // 8 languages pack into one byte per (hash, address) entry.
         assert_eq!(bank.mask_entry_bits(), 8);
         assert_eq!(bank.memory_bits(), 4 * 16384 * 8);
 
-        // Each width boundary picks the narrowest fitting storage.
-        let cases = [(1, 8), (9, 16), (16, 16), (17, 32), (33, 64), (64, 64)];
+        // Each width boundary picks the narrowest fitting storage, and
+        // past 32 languages one u32 slice per 32.
+        let cases = [
+            (1, 8),
+            (9, 16),
+            (16, 16),
+            (17, 32),
+            (33, 64),
+            (64, 64),
+            (65, 96),
+            (100, 128),
+        ];
         for (p, bits) in cases {
             let (_, b) = bank_fixture(p, BloomParams::from_kbits(4, 2), 5, 2);
             assert_eq!(b.mask_entry_bits(), bits, "p = {p}");
         }
-
-        let (_, wide) = bank_fixture(65, BloomParams::from_kbits(4, 2), 10, 2);
-        assert_eq!(wide.words_per_mask(), 2);
-        assert_eq!(wide.mask_entry_bits(), 128);
     }
 
     #[test]
@@ -652,11 +669,12 @@ mod tests {
         // language, so every byte counter grows by one per key or block:
         // streams ending just before, at and after a drain must still
         // equal the naive walk, on both probe paths and across the u8 (8),
-        // u16 (12, 16) and u32 (20, 32) rows.
+        // u16 (12, 16) and u32 (20, 32) rows and the 2-, 3- and 4-slice
+        // banks (33, 64; 65, 96; 97).
         let params = BloomParams::new(4, 10);
         let mut rng = SmallRng::seed_from_u64(99);
         let shared: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
-        for p in [8usize, 12, 16, 20, 32] {
+        for p in [8usize, 12, 16, 20, 32, 33, 64, 65, 96, 97] {
             let (mut filters, _) = bank_fixture(p, params, 200, 7);
             for f in &mut filters {
                 f.program_all(shared.iter().copied());
@@ -707,10 +725,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Banked accumulation must equal the naive per-language loop on
-        /// both probe paths for any p — every mask width (u8/u16/u32/u64)
-        /// and the multi-word boundary (p > 64) — every k (each const-k
-        /// arm, so each runs multi-word masks too), both packed H3 field
-        /// widths, any key set, and any query set.
+        /// both probe paths for any p — every mask width (u8/u16/u32) and
+        /// slice count (p > 32) — every k (each const-k arm, so each runs
+        /// sliced masks too), both packed H3 field widths, any key set, and
+        /// any query set.
         #[test]
         fn banked_counts_equal_naive(
             p in prop_p(), k in 1usize..=BloomParams::MAX_K, seed in any::<u64>(),
@@ -780,8 +798,8 @@ mod tests {
     }
 
     /// Language counts that exercise every mask representation: u8 (1, 8),
-    /// u16 (12), u32 (20), single-word u64 (33, 64), and multi-word
-    /// (65..=100).
+    /// u16 (12), u32 (20), and 2 (33, 64), 3 (65..=96) and 4 (97..=100)
+    /// u32 slices, with 96 and 97 on both sides of a slice edge.
     fn prop_p() -> impl Strategy<Value = usize> {
         PChoices
     }
@@ -793,13 +811,15 @@ mod tests {
         type Value = usize;
 
         fn sample(&self, rng: &mut proptest::TestRng) -> usize {
-            match rng.next_u64() % 7 {
+            match rng.next_u64() % 9 {
                 0 => 1,
                 1 => 8,
                 2 => 12,
                 3 => 20,
                 4 => 33,
                 5 => 64,
+                6 => 96,
+                7 => 97,
                 _ => 65 + (rng.next_u64() % 36) as usize, // 65..=100
             }
         }

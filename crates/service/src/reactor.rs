@@ -164,14 +164,15 @@ struct Conn {
 }
 
 /// Cross-thread control state every reactor shares with the server:
-/// shutdown/drain latches plus the optional fault-injection plan.
+/// shutdown/drain latches, the optional fault-injection plan and the
+/// history ring.
 #[derive(Clone)]
 pub(crate) struct ReactorControl {
     pub shutdown: Arc<AtomicBool>,
     pub drain: Arc<AtomicBool>,
     pub plan: Option<Arc<FaultPlan>>,
-    /// Time-series ring for `GetStats(detail=2)` dumps (`None` = off).
-    pub history: Option<Arc<HistoryRing>>,
+    /// Time-series ring for `GetStats(detail=2)` dumps.
+    pub history: Arc<HistoryRing>,
 }
 
 /// Spawn one reactor thread.
@@ -225,7 +226,7 @@ struct Reactor {
     /// Seeded fault-injection plan; `None` in production.
     plan: Option<Arc<FaultPlan>>,
     /// History ring, copied into `GetStats(detail=2)` answers.
-    history: Option<Arc<HistoryRing>>,
+    history: Arc<HistoryRing>,
     cfg: ReactorConfig,
     conns: HashMap<u64, Conn>,
     /// Connections that left their last service pass with work no external
@@ -680,9 +681,7 @@ impl Reactor {
                                     // reported once); history is copied.
                                     if detail >= 2 {
                                         snap.spans = metrics.spans().drain();
-                                        if let Some(h) = history {
-                                            snap.history = h.dump();
-                                        }
+                                        snap.history = history.dump();
                                     }
                                     push_response(
                                         c,

@@ -273,7 +273,7 @@ pub fn serve(
                 shutdown: Arc::clone(&shutdown),
                 drain: Arc::clone(&draining),
                 plan: plan.clone(),
-                history: Some(Arc::clone(&history)),
+                history: Arc::clone(&history),
             },
             reactor_cfg.clone(),
         )?;

@@ -10,18 +10,13 @@
 //! reachable interleaving rather than the ones a lucky scheduler happens
 //! to produce.
 //!
-//! Only the types the modeled structures touch are routed through here;
-//! `Mutex`, channels, and I/O keep their `std` identities in both builds
-//! (the shim leaves them unmodeled by design — see the `loom` crate docs).
+//! Only the atomics the modeled structures touch are routed through here;
+//! `Arc` (the shim's is `std`'s), `Mutex`, channels, and I/O keep their
+//! `std` identities in both builds (the shim leaves them unmodeled by
+//! design — see the `loom` crate docs).
 
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(loom)]
-#[allow(unused_imports)]
-pub(crate) use loom::sync::Arc;
 
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(loom))]
-#[allow(unused_imports)]
-pub(crate) use std::sync::Arc;

@@ -2,10 +2,10 @@
 //! per-language reference path, end to end through the public classifier
 //! API: identical `ClassificationResult`s for arbitrary inputs, any
 //! chunking, and language counts spanning every mask storage width and the
-//! multi-word boundary (p ∈ {1, 8, 12, 20, 32, 64, 100}).
+//! `u32` slice edges (p ∈ {1, 8, 12, 20, 32, 33, 64, 65, 100}).
 //!
-//! On hosts with AVX2 the bank builds its vector probe engine for p ≤ 64, so every
-//! property here also pins avx2 == naive; the `forced_scalar_*` properties
+//! On hosts with AVX2 the bank builds its vector probe engine at every p, so
+//! every property here also pins avx2 == naive; the `forced_scalar_*` properties
 //! compare the two dispatch paths against each other explicitly, and CI
 //! runs the whole suite a second time under `LC_FORCE_SCALAR=1`.
 
@@ -47,11 +47,11 @@ fn synthetic_classifier(p: usize) -> MultiLanguageClassifier {
 
 fn classifier_for(p: usize) -> &'static MultiLanguageClassifier {
     // One shared instance per boundary-interesting p (16 fills a u16 mask
-    // row exactly; 100 crosses the 64-language single-word mask limit).
+    // row exactly; 33, 65 and 100 take 2, 3 and 4 u32 slices).
     static BANKS: std::sync::OnceLock<Vec<(usize, MultiLanguageClassifier)>> =
         std::sync::OnceLock::new();
     let banks = BANKS.get_or_init(|| {
-        [1usize, 8, 12, 16, 20, 32, 64, 100]
+        [1usize, 8, 12, 16, 20, 32, 33, 64, 65, 100]
             .into_iter()
             .map(|p| (p, synthetic_classifier(p)))
             .collect()
@@ -59,7 +59,7 @@ fn classifier_for(p: usize) -> &'static MultiLanguageClassifier {
     &banks.iter().find(|(n, _)| *n == p).expect("known p").1
 }
 
-/// Strategy choosing a language count on each side of the u64 mask boundary.
+/// Strategy choosing a language count on each side of each slice edge.
 fn any_p() -> impl Strategy<Value = usize> {
     PStrategy
 }
@@ -71,7 +71,7 @@ impl Strategy for PStrategy {
     type Value = usize;
 
     fn sample(&self, rng: &mut proptest::TestRng) -> usize {
-        [1usize, 8, 12, 20, 32, 64, 100][(rng.next_u64() % 7) as usize]
+        [1usize, 8, 12, 20, 32, 33, 64, 65, 100][(rng.next_u64() % 9) as usize]
     }
 }
 
@@ -79,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Banked and naive classification agree exactly on arbitrary documents
-    /// for every language count, including p > 64 (multi-word masks).
+    /// for every language count, including p > 32 (sliced masks).
     #[test]
     fn banked_equals_naive_for_arbitrary_documents(
         p in any_p(),
@@ -272,25 +272,28 @@ fn block_tail_lengths_match_naive() {
 
 #[test]
 fn bank_shape_reflects_language_count() {
-    for (p, wpm) in [
-        (1usize, 1usize),
-        (8, 1),
-        (12, 1),
-        (20, 1),
-        (32, 1),
-        (64, 1),
-        (100, 2),
+    for (p, bits) in [
+        (1usize, 8usize),
+        (8, 8),
+        (12, 16),
+        (20, 32),
+        (32, 32),
+        (33, 64),
+        (64, 64),
+        (65, 96),
+        (100, 128),
     ] {
         let c = classifier_for(p);
         assert_eq!(c.bank().languages(), p);
-        assert_eq!(c.bank().words_per_mask(), wpm);
+        assert_eq!(c.bank().mask_entry_bits(), bits, "p={p}");
     }
 }
 
 /// Dispatch really selects the vector engine wherever it has one: with AVX2
-/// detected (and `LC_FORCE_SCALAR` unset), every `p ≤ 64` bank reports
-/// `Avx2` at every `k`, while multi-word (`p > 64`) banks report `Scalar`.
-/// Under `LC_FORCE_SCALAR=1` every bank reports `Scalar`. A regression
+/// detected (and `LC_FORCE_SCALAR` unset), every bank reports `Avx2` at
+/// every `k` and every `p`, sliced (`p > 32`) banks included, while an
+/// m = 128 Kbit bank reports `Scalar`. Under `LC_FORCE_SCALAR=1` every bank
+/// reports `Scalar`. A regression
 /// that silently drops the vector path fails here rather than only
 /// showing up as a slower benchmark.
 #[test]
@@ -301,17 +304,17 @@ fn dispatch_selects_the_vector_path_where_one_exists() {
     if SimdLevel::force_scalar_requested() {
         assert!(!vector, "LC_FORCE_SCALAR must pin scalar dispatch");
     }
+    let expected = if vector {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Scalar
+    };
     for k in 1..=BloomParams::MAX_K {
         let params = BloomParams::from_kbits(1, k);
         for p in [1usize, 8, 12, 20, 32, 33, 64, 65, 100] {
             let filters: Vec<ParallelBloomFilter> = (0..p)
                 .map(|_| ParallelBloomFilter::new(params, NGramSpec::PAPER.bits(), 99))
                 .collect();
-            let expected = if vector && p <= 64 {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            };
             let bank = FilterBank::from_filters(&filters);
             assert_eq!(bank.simd_level(), expected, "p={p} k={k}");
         }
@@ -326,12 +329,7 @@ fn dispatch_selects_the_vector_path_where_one_exists() {
         SimdLevel::Scalar,
         "m = 128 Kbit"
     );
-    for p in [1usize, 8, 12, 20, 32, 64, 100] {
-        let expected = if vector && p <= 64 {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Scalar
-        };
+    for p in [1usize, 8, 12, 20, 32, 33, 64, 65, 100] {
         assert_eq!(classifier_for(p).simd_level(), expected, "classifier p={p}");
     }
 }
