@@ -74,6 +74,32 @@ use std::ops::BitAnd;
 pub trait KeySource {
     /// Push every key into `sink`, in order.
     fn for_each_key(self, sink: impl FnMut(u64));
+
+    /// Push every key's low 32 bits into `sink`, in order, in batches of
+    /// at most 64 keys: the AVX2 engine's entry, which probes each batch
+    /// in one vector call (see the `simd` module's Staging section).
+    ///
+    /// The default stages [`Self::for_each_key`]'s keys 64 at a time. A
+    /// source that can build a batch faster than one key at a time (the
+    /// vector n-gram extractor) overrides it.
+    fn for_each_batch(self, mut sink: impl FnMut(&[u32]))
+    where
+        Self: Sized,
+    {
+        let mut batch = [0u32; 64];
+        let mut filled = 0usize;
+        self.for_each_key(|key| {
+            batch[filled] = key as u32;
+            filled += 1;
+            if filled == batch.len() {
+                sink(&batch);
+                filled = 0;
+            }
+        });
+        if filled > 0 {
+            sink(&batch[..filled]);
+        }
+    }
 }
 
 impl<I: IntoIterator<Item = u64>> KeySource for I {

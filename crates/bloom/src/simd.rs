@@ -7,7 +7,7 @@
 //! [`crate::FilterBank`], built **once per classifier** (never per call)
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
 //! has a vector fast path: keys ≤ 32 bits and `m ≤ 64 Kbit`, at any `p`.
-//! The engine stages the key stream 64 keys at a time (see
+//! The engine takes the key stream in batches of up to 64 keys (see
 //! [Staging](#staging)) and probes it in 8-key blocks: the packed-word H3
 //! evaluator ([`lc_hash::simd::hash8`], the same table the
 //! scalar loop reads) produces 8 addresses per hash function, one
@@ -31,18 +31,22 @@
 //!
 //! # Staging
 //!
-//! The scalar shift register writes keys to memory one at a time, and the
-//! vector stage reads them back 8 at a time. Handing over each 8-key block
-//! in its own out-of-line AVX2 call was slow: the call's first 32-byte
-//! load of the block cannot be store-forwarded from the eight 4-byte
-//! stores that just wrote it, so it waits for them to commit, and the
-//! counter state round-trips through memory on every call. Consecutive
-//! blocks then ran one after another instead of overlapping. So keys are
-//! staged in a 64-key buffer, like the paper's buffer between the DMA
-//! words and the n-gram stage, and each full buffer goes to one AVX2
-//! call that runs its 8 blocks back to back with the block probe inlined.
-//! At the end of a call, the partial buffer's whole blocks take one more
-//! vector call and the fewer than 8 keys left take the scalar probe.
+//! Keys arrive in batches of up to 64 from the source
+//! ([`KeySource::for_each_batch`]), like the paper's buffer between the
+//! DMA words and the n-gram stage. Each batch goes to one AVX2 call that
+//! runs its whole 8-key blocks back to back with the block probe
+//! inlined; the fewer than 8 keys left over take the scalar probe. The
+//! n-gram extractor builds a 64-byte block's 64 keys in vector registers
+//! at the paper's shape (`lc_ngram::StreamingExtractor::feed_batches`);
+//! every other source is staged by the trait's default, which writes the
+//! scalar keys into a 64-key buffer one at a time.
+//!
+//! Why batches: handing over each 8-key block in its own out-of-line
+//! AVX2 call was slow. The call's first 32-byte load of the block cannot
+//! be store-forwarded from the eight 4-byte stores that just wrote it,
+//! so it waits for them to commit, and the counter state round-trips
+//! through memory on every call. Consecutive blocks then ran one after
+//! another instead of overlapping.
 //!
 //! Both halves matter. On a 2-core AVX2 host, the `inproc-paper8`
 //! benchmark workload classified at 124 / 121 MB/s unstaged (two seeds,
@@ -135,10 +139,6 @@ mod x86 {
     /// Keys per block: one AVX2 register of 32-bit keys.
     const LANES: usize = 8;
 
-    /// Keys staged per call into the vector stage (eight blocks); see the
-    /// [module docs](super#staging) for why they are staged at all.
-    const BATCH: usize = 64;
-
     /// Byte-counter registers per slice for the widest count (`u32`
     /// words): two per mask byte.
     const ACCS: usize = 8;
@@ -166,11 +166,11 @@ mod x86 {
         }
 
         /// Drain `src` through the 8-lane pipeline, gathering from the
-        /// bank's `rows` of `stride` words per entry: keys are staged
-        /// [`BATCH`] at a time and each full batch goes to the vector
-        /// stage in one call. At the end, the partial batch's whole
-        /// [`LANES`]-key blocks take one more vector call and the fewer
-        /// than [`LANES`] keys left take the scalar probe.
+        /// bank's `rows` of `stride` words per entry: the source hands over
+        /// its keys in batches of up to 64 ([`KeySource::for_each_batch`]),
+        /// each batch's whole [`LANES`]-key blocks go to the vector stage
+        /// in one call, and the fewer than [`LANES`] keys left take the
+        /// scalar probe.
         ///
         /// # Panics
         ///
@@ -193,30 +193,22 @@ mod x86 {
             // safety: this engine is only built after the AVX2 cpuid check;
             // the feature cannot disappear at runtime.
             let mut sink = unsafe { Sink::new(rows, eval, Tally::new(counts, stride), stride) };
-            let mut batch = [0u32; BATCH];
-            let mut filled = 0usize;
-            src.for_each_key(|key| {
-                // Truncation is exact: `hash8` masks every lane to the
-                // family's key width, which eligibility keeps within u32.
-                batch[filled] = key as u32;
-                filled += 1;
-                if filled == BATCH {
-                    // safety: as above, AVX2 was detected when the engine
-                    // was built.
-                    unsafe { sink.batch(batch.as_chunks::<LANES>().0) };
-                    filled = 0;
+            // Truncation to u32 is exact: `hash8` masks every lane to the
+            // family's key width, which eligibility keeps within u32.
+            src.for_each_batch(|keys| {
+                let (blocks, rest) = keys.as_chunks::<LANES>();
+                // safety: as above, AVX2 was detected when the engine was
+                // built.
+                unsafe { sink.batch(blocks) };
+                for &key in rest {
+                    probe(&sink.eval, rows, stride, u64::from(key), &mut sink.tally);
                 }
             });
-            let (blocks, rest) = batch[..filled].as_chunks::<LANES>();
             // safety: as above, AVX2 was detected when the engine was built.
             unsafe {
-                sink.batch(blocks);
                 for (g, &acc) in sink.acc.as_mut().iter().enumerate() {
                     drain(&mut sink.tally.counts()[32 * g..], acc);
                 }
-            }
-            for &key in rest {
-                probe(&sink.eval, rows, stride, u64::from(key), &mut sink.tally);
             }
             sink.tally.flush();
         }

@@ -155,7 +155,9 @@ impl MultiLanguageClassifier {
     ///
     /// Runs the **fused** path: one loop folds each byte, advances the
     /// shift register, applies the sub-sampling phase, and AND-probes the
-    /// bit-sliced bank — no intermediate n-gram buffer. This is the same
+    /// bit-sliced bank — no intermediate n-gram buffer. On the AVX2 engine
+    /// the keys reach the probe in batches of up to 64 instead (see
+    /// [`lc_ngram::StreamingExtractor::feed_batches`]). This is the same
     /// engine streaming sessions run, so whole-buffer and chunked
     /// classification share exactly one hot loop.
     pub fn classify(&self, text: &[u8]) -> ClassificationResult {

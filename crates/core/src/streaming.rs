@@ -18,9 +18,10 @@ use crate::result::ClassificationResult;
 /// bank probe: `for_each_key` runs [`StreamingExtractor::feed_with`], so
 /// the byte-fold/shift/phase state machine inlines into the bank's
 /// monomorphized probe loop — extraction and classification in one pass,
-/// no `NGram` buffer in between. Shared by whole-buffer
-/// [`MultiLanguageClassifier::classify`] (one chunk = the document) and
-/// [`StreamingSession::feed`].
+/// no `NGram` buffer in between. The AVX2 engine calls `for_each_batch`
+/// instead, which runs [`StreamingExtractor::feed_batches`]. Shared by
+/// whole-buffer [`MultiLanguageClassifier::classify`] (one chunk = the
+/// document) and [`StreamingSession::feed`].
 pub(crate) struct FusedChunk<'a> {
     pub extractor: &'a mut StreamingExtractor,
     pub chunk: &'a [u8],
@@ -30,6 +31,13 @@ impl KeySource for FusedChunk<'_> {
     #[inline]
     fn for_each_key(self, mut sink: impl FnMut(u64)) {
         self.extractor.feed_with(self.chunk, |g| sink(g.value()));
+    }
+
+    /// The AVX2 engine's entry: [`StreamingExtractor::feed_batches`]
+    /// builds the paper's 4-grams 64 at a time in vector registers.
+    #[inline]
+    fn for_each_batch(self, sink: impl FnMut(&[u32])) {
+        self.extractor.feed_batches(self.chunk, sink);
     }
 }
 

@@ -16,6 +16,13 @@
 //! per cycle, the vector unit evaluates `k` hashes of **eight** grams per
 //! iteration.
 //!
+//! The number of key bytes (1–4 for an eligible family; 3 for the paper's
+//! 20-bit 4-grams) is a constant of the gather loop: [`hash8`] matches on
+//! it once per block and runs a copy of the loop unrolled for that count,
+//! so no key byte costs a backward branch. Only that loop is copied per
+//! count; its callers stay generic over `k` alone, which keeps the code
+//! size (and its resident pages) close to one copy per `k`.
+//!
 //! Dispatch is decided once per classifier via [`SimdLevel::detect`]
 //! (`is_x86_feature_detected!("avx2")`, overridable with the
 //! `LC_FORCE_SCALAR` environment variable) — never per call. Every consumer
@@ -126,57 +133,18 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub fn hash8<const K: usize>(eval: &FusedEvaluatorK<'_, K>, keys: __m256i) -> [__m256i; K] {
         debug_assert!(eval.field_bits == 16 && eval.key_mask <= u64::from(u32::MAX));
-        // Four 16-bit fields per word.
-        let words = K.div_ceil(4);
-        // A last word with at most two live fields (K % 4 ∈ {1, 2}) keeps
-        // them in its low 32 bits: one dword gather reads it for all eight
-        // keys. Every other word takes two qword gathers.
-        let tail = matches!(K % 4, 1 | 2);
-        let qwords = words - usize::from(tail);
+        let (qwords, tail) = layout(K);
         // Keys are ≤ 32 bits by eligibility, so masking in u32 lanes is exact.
         let keys = _mm256_and_si256(keys, _mm256_set1_epi32(eval.key_mask as u32 as i32));
-        let byte_mask = _mm256_set1_epi32(0xFF);
-        // Per word: keys 0..4 in `lo`, keys 4..8 in `hi`, one u64 lane each.
-        let mut lo = [_mm256_setzero_si256(); K];
-        let mut hi = [_mm256_setzero_si256(); K];
-        // The tail word's low halves, one u32 lane per key.
-        let mut last = _mm256_setzero_si256();
-        for byte_idx in 0..eval.n_bytes {
-            let shift = _mm_cvtsi32_si128((8 * byte_idx) as i32);
-            let bytes = _mm256_and_si256(_mm256_srl_epi32(keys, shift), byte_mask);
-            let idx = _mm256_mullo_epi32(bytes, _mm256_set1_epi32(words as i32));
-            for w in 0..qwords {
-                let run = &eval.packed[byte_idx * 256 * words + w..];
-                // safety: each idx lane is byte · words with byte ≤ 255, so
-                // the read at run[idx] is word w of entry (byte_idx, byte),
-                // inside the table: a 16-bit-field table has exactly
-                // `words` words per entry and a 32-bit one more, and
-                // byte_idx < n_bytes, the table's byte count.
-                let (l, h) = unsafe {
-                    (
-                        _mm256_i32gather_epi64::<8>(
-                            run.as_ptr().cast(),
-                            _mm256_castsi256_si128(idx),
-                        ),
-                        _mm256_i32gather_epi64::<8>(
-                            run.as_ptr().cast(),
-                            _mm256_extracti128_si256::<1>(idx),
-                        ),
-                    )
-                };
-                lo[w] = _mm256_xor_si256(lo[w], l);
-                hi[w] = _mm256_xor_si256(hi[w], h);
-            }
-            if tail {
-                let run = &eval.packed[byte_idx * 256 * words + qwords..];
-                // safety: scale 8 puts lane j's read at the same byte offset
-                // as the qword gathers above, run[idx] = word `qwords` (the
-                // last) of entry (byte_idx, byte), inside the table for the
-                // same reasons; the 4-byte read is that word's low half.
-                let d = unsafe { _mm256_i32gather_epi32::<8>(run.as_ptr().cast(), idx) };
-                last = _mm256_xor_si256(last, d);
-            }
-        }
+        // One predictable branch per block on the key-byte count: only the
+        // gather fold is copied per count, so its byte loop unrolls. Every
+        // family has 1..=8 key bytes; `_` folds the first 4.
+        let (lo, hi, last) = match eval.n_bytes {
+            1 => fold::<K, 1>(eval, keys),
+            2 => fold::<K, 2>(eval, keys),
+            3 => fold::<K, 3>(eval, keys),
+            _ => fold::<K, 4>(eval, keys),
+        };
         // Transpose each word's 8 × 4 u16 fields into 4 vectors of 8 u32
         // addresses. Within each 128-bit lane, gather field f of both keys
         // into dword f; then interleave the lanes so qword f holds field f
@@ -218,6 +186,74 @@ mod avx2 {
         }
         out
     }
+
+    /// The packed-word layout of a `k`-function entry, four 16-bit fields
+    /// per word: `(qwords, tail)`. A last word with at most two live
+    /// fields (`k % 4 ∈ {1, 2}`) is a `tail`: it keeps them in its low 32
+    /// bits, so one dword gather reads it for all eight keys. The other
+    /// `qwords` words take two qword gathers each.
+    const fn layout(k: usize) -> (usize, bool) {
+        let tail = matches!(k % 4, 1 | 2);
+        (k.div_ceil(4) - tail as usize, tail)
+    }
+
+    /// XOR-fold the packed entries of the low `N` bytes of the eight
+    /// (masked) `keys`: per qword, `lo` holds keys 0..4 and `hi` keys
+    /// 4..8, one u64 lane each; `last` holds the tail word's low halves,
+    /// one u32 lane per key. `N` is a constant, so the byte loop unrolls
+    /// into straight-line gathers.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fold<const K: usize, const N: usize>(
+        eval: &FusedEvaluatorK<'_, K>,
+        keys: __m256i,
+    ) -> ([__m256i; K], [__m256i; K], __m256i) {
+        let (qwords, tail) = layout(K);
+        // Four 16-bit fields per word.
+        let words = K.div_ceil(4);
+        let byte_mask = _mm256_set1_epi32(0xFF);
+        let mut lo = [_mm256_setzero_si256(); K];
+        let mut hi = [_mm256_setzero_si256(); K];
+        let mut last = _mm256_setzero_si256();
+        for byte_idx in 0..N {
+            let shift = _mm_cvtsi32_si128((8 * byte_idx) as i32);
+            let bytes = _mm256_and_si256(_mm256_srl_epi32(keys, shift), byte_mask);
+            let idx = _mm256_mullo_epi32(bytes, _mm256_set1_epi32(words as i32));
+            for w in 0..qwords {
+                let run = &eval.packed[byte_idx * 256 * words + w..];
+                // safety: each idx lane is byte · words with byte ≤ 255, so
+                // the read at run[idx] is word w of entry (byte_idx, byte),
+                // inside the table: a 16-bit-field table has exactly
+                // `words` words per entry and a 32-bit one more, and
+                // byte_idx < N ≤ n_bytes, the table's byte count (`hash8`
+                // picks N ≤ n_bytes).
+                let (l, h) = unsafe {
+                    (
+                        _mm256_i32gather_epi64::<8>(
+                            run.as_ptr().cast(),
+                            _mm256_castsi256_si128(idx),
+                        ),
+                        _mm256_i32gather_epi64::<8>(
+                            run.as_ptr().cast(),
+                            _mm256_extracti128_si256::<1>(idx),
+                        ),
+                    )
+                };
+                lo[w] = _mm256_xor_si256(lo[w], l);
+                hi[w] = _mm256_xor_si256(hi[w], h);
+            }
+            if tail {
+                let run = &eval.packed[byte_idx * 256 * words + qwords..];
+                // safety: scale 8 puts lane j's read at the same byte offset
+                // as the qword gathers above, run[idx] = word `qwords` (the
+                // last) of entry (byte_idx, byte), inside the table for the
+                // same reasons; the 4-byte read is that word's low half.
+                let d = unsafe { _mm256_i32gather_epi32::<8>(run.as_ptr().cast(), idx) };
+                last = _mm256_xor_si256(last, d);
+            }
+        }
+        (lo, hi, last)
+    }
 }
 
 #[cfg(test)]
@@ -256,8 +292,9 @@ mod tests {
         }
         // (k, input_bits, output_bits): one- and two-word entries, the
         // paper's compact two-word shape (k = 6, m = 4 Kbit), the widest
-        // 16-bit field, and every k whose last word takes the dword
-        // gather (1, 2, 5, 6).
+        // 16-bit field, every k whose last word takes the dword gather
+        // (1, 2, 5, 6), and every key-byte count hash8 unrolls for
+        // (1, 2, 3 and 4 bytes).
         for (k, input_bits, output_bits, seed) in [
             (4usize, 20u32, 14u32, 7u64),
             (1, 5, 5, 8),
@@ -267,6 +304,7 @@ mod tests {
             (4, 20, 16, 12),
             (2, 20, 16, 13),
             (5, 24, 13, 14),
+            (3, 15, 12, 15),
         ] {
             let fam = H3Family::new(k, input_bits, output_bits, seed);
             let keys: [u32; 8] = std::array::from_fn(|j| {

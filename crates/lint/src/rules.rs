@@ -57,14 +57,22 @@ const SEQCST_ALLOWLIST: &[&str] = &["crates/reactor/src/sys.rs"];
 /// comment justifying the specific invariant (gather bounds, cpuid
 /// precondition, exact-size store target). Everywhere else outside
 /// `crates/reactor` stays unsafe-free.
-const SIMD_UNSAFE_ALLOWLIST: &[&str] = &["crates/hash/src/simd.rs", "crates/bloom/src/simd.rs"];
+const SIMD_UNSAFE_ALLOWLIST: &[&str] = &[
+    "crates/hash/src/simd.rs",
+    "crates/bloom/src/simd.rs",
+    "crates/ngram/src/simd.rs",
+];
 
 /// Crate roots that host a SIMD module: they downgrade
 /// `#![forbid(unsafe_code)]` to `#![deny(unsafe_code)]` (forbid cannot be
 /// overridden per-module) and the simd module opts back in locally. The
 /// lint accepts either attribute here and still requires forbid
 /// everywhere else.
-const SIMD_CRATE_ROOTS: &[&str] = &["crates/hash/src/lib.rs", "crates/bloom/src/lib.rs"];
+const SIMD_CRATE_ROOTS: &[&str] = &[
+    "crates/hash/src/lib.rs",
+    "crates/bloom/src/lib.rs",
+    "crates/ngram/src/lib.rs",
+];
 
 /// One loaded source file.
 struct SourceFile {

@@ -38,7 +38,7 @@ const fn letter(c: u8) -> u8 {
     c - b'A' + 1
 }
 
-const fn build_fold_table() -> [u8; 256] {
+pub(crate) const fn build_fold_table() -> [u8; 256] {
     let mut t = [SPACE_CODE; 256];
     // ASCII letters.
     let mut c = b'A';

@@ -21,6 +21,7 @@
 
 use crate::alphabet::fold_byte;
 use crate::ngram::{NGram, NGramSpec};
+use crate::simd;
 
 /// Whole-buffer sliding-window extractor.
 #[derive(Clone, Copy, Debug)]
@@ -143,9 +144,10 @@ impl StreamingExtractor {
     }
 
     /// Feed a chunk, pushing each produced n-gram into `sink` as it emerges
-    /// from the shift register — **the** extraction hot loop. No buffer
-    /// sits between folding and the sink, so a caller that probes a filter
-    /// bank per gram fuses extraction and classification into one pass.
+    /// from the shift register — **the** scalar extraction hot loop. No
+    /// buffer sits between folding and the sink, so a caller that probes a
+    /// filter bank per gram fuses extraction and classification into one
+    /// pass.
     ///
     /// [`Self::feed`] (Vec-collecting) and the whole-buffer
     /// [`NGramExtractor::extract_into`] are thin wrappers over this.
@@ -182,6 +184,42 @@ impl StreamingExtractor {
                     self.phase = 0;
                 }
             }
+        }
+    }
+
+    /// Feed a chunk like [`Self::feed_with`], but hand the keys to `sink`
+    /// in batches of at most 64, each key truncated to `u32` (exact while
+    /// the spec's grams fit 32 bits, `n ≤ 6`). The batches concatenate to
+    /// exactly `feed_with`'s keys, and the state carries across chunks the
+    /// same way.
+    ///
+    /// The paper's shape (`n = 4`, no sub-sampling) on a CPU with AVX2
+    /// builds each 64-byte block's 64 keys in vector registers, with no
+    /// chain from one byte to the next (see the `simd` module); the
+    /// chunk's warm-up and its last bytes short of a block take the
+    /// scalar shift register. Every other shape stages `feed_with`'s keys.
+    pub fn feed_batches<F: FnMut(&[u32])>(&mut self, chunk: &[u8], mut sink: F) {
+        let mut rest = chunk;
+        if self.spec.n() == 4 && self.subsample == 1 {
+            let warm = (self.spec.n() - 1).saturating_sub(self.chars_seen);
+            let (head, body) = rest.split_at(warm.min(rest.len()));
+            self.feed_with(head, |_| {});
+            let done = simd::keys_by_block(&mut self.state, body, &mut sink);
+            self.chars_seen += done;
+            rest = &body[done..];
+        }
+        let mut batch = [0u32; 64];
+        let mut filled = 0;
+        self.feed_with(rest, |g| {
+            batch[filled] = g.value() as u32;
+            filled += 1;
+            if filled == batch.len() {
+                sink(&batch);
+                filled = 0;
+            }
+        });
+        if filled > 0 {
+            sink(&batch[..filled]);
         }
     }
 
@@ -314,6 +352,65 @@ mod tests {
         assert_eq!(clean.len(), 2);
     }
 
+    /// `feed_batches`' keys for `text` cut at `cuts`, as the concatenated
+    /// batches, checking every batch holds 1 to 64 keys.
+    fn batched(spec: NGramSpec, s: usize, text: &[u8], cuts: &[usize]) -> Vec<u32> {
+        let mut ex = StreamingExtractor::with_subsampling(spec, s);
+        let mut keys = Vec::new();
+        for w in cuts.windows(2) {
+            ex.feed_batches(&text[w[0]..w[1]], |batch| {
+                assert!((1..=64).contains(&batch.len()), "batch of {}", batch.len());
+                keys.extend_from_slice(batch);
+            });
+        }
+        assert_eq!(ex.chars_seen(), text.len());
+        assert_eq!(ex.grams_emitted(), keys.len());
+        keys
+    }
+
+    /// `feed_with`'s keys for the whole of `text`, truncated as
+    /// `feed_batches` truncates them.
+    fn unbatched(spec: NGramSpec, s: usize, text: &[u8]) -> Vec<u32> {
+        let mut keys = Vec::new();
+        StreamingExtractor::with_subsampling(spec, s)
+            .feed_with(text, |g| keys.push(g.value() as u32));
+        keys
+    }
+
+    #[test]
+    fn feed_batches_cuts_at_the_warm_up_and_block_edges() {
+        // Every byte value, so both vector fold paths and the 0xDF / 0xFF
+        // fix-up run inside whole blocks.
+        let text: Vec<u8> = (0..300u32).map(|i| (i * 97 + i / 7) as u8).collect();
+        let len = text.len();
+        // Cuts inside the warm-up (1, 2), right after it (3), on both
+        // sides of the first block edge measured from the chunk's start
+        // or from the end of the warm-up (63..=67), and past two blocks.
+        let singles = [1usize, 2, 3, 4, 63, 64, 65, 66, 67, 68, 127, 128, 131, 200];
+        let mut plans: Vec<Vec<usize>> = vec![vec![0, len]];
+        plans.extend(singles.iter().map(|&c| vec![0, c, len]));
+        plans.extend(singles.iter().flat_map(|&a| {
+            singles
+                .iter()
+                .filter(move |&&b| b > a)
+                .map(move |&b| vec![0, a, b, len])
+        }));
+        plans.push((0..=len).collect());
+        for n in 1..=8 {
+            for s in 1..=4 {
+                let spec = NGramSpec::new(n);
+                let expect = unbatched(spec, s, &text);
+                for cuts in &plans {
+                    assert_eq!(
+                        batched(spec, s, &text, cuts),
+                        expect,
+                        "n={n} s={s} cuts={cuts:?}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Chunked streaming output equals whole-buffer output for any
         /// chunking of any input.
@@ -382,6 +479,26 @@ mod tests {
             }
             prop_assert_eq!(sunk, reference);
             prop_assert_eq!(ex.chars_seen(), text.len());
+        }
+
+        /// `feed_batches` emits exactly `feed_with`'s keys (truncated to
+        /// `u32`) for any bytes, shape and chunking, in batches of at
+        /// most 64.
+        #[test]
+        fn feed_batches_matches_feed_with(
+            text in proptest::collection::vec(any::<u8>(), 0..400),
+            cuts in proptest::collection::vec(0usize..400, 0..8),
+            n in 1usize..=8,
+            s in 1usize..=4,
+        ) {
+            let spec = NGramSpec::new(n);
+            let mut cut_points: Vec<usize> =
+                cuts.into_iter().map(|c| c % (text.len() + 1)).collect();
+            cut_points.push(0);
+            cut_points.push(text.len());
+            cut_points.sort_unstable();
+            cut_points.dedup();
+            prop_assert_eq!(batched(spec, s, &text, &cut_points), unbatched(spec, s, &text));
         }
 
         /// Every produced gram fits in the spec's bit width.

@@ -16,20 +16,28 @@
 //!   a streaming extractor that carries window state across arbitrary chunk
 //!   boundaries (the DMA stream delivers 64-bit words, not whole documents),
 //!   and optional sub-sampling (the HAIL-style "test only every s-th n-gram"
-//!   fallback discussed in §3.3/§5.2).
+//!   fallback discussed in §3.3/§5.2). For a vector consumer,
+//!   [`StreamingExtractor::feed_batches`] hands over the same keys in
+//!   batches of up to 64; at the paper's shape (`n = 4`, every n-gram) on
+//!   a CPU with AVX2 it builds each 64-byte block's keys in registers, with
+//!   no serial chain from one byte to the next (the crate's one `unsafe`
+//!   module, `simd`).
 //! * [`profile`] — n-gram frequency counting and **top-t profiles** (the
 //!   paper uses the `t = 5000` most frequent 4-grams of a training set), plus
 //!   ranked profiles for the Cavnar–Trenkle baseline.
 //! * [`unicode`] — the paper's §3.3 extension to 16-bit Unicode: wide folded
 //!   symbols, 64-bit packed 4-grams, and extraction over `char` streams.
 
-#![forbid(unsafe_code)]
+// deny (not forbid) so the dedicated `simd` module can opt back in for its
+// AVX2 intrinsics; everything else in the crate stays compiler-enforced safe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;
 pub mod extract;
 pub mod ngram;
 pub mod profile;
+mod simd;
 pub mod unicode;
 
 pub use alphabet::{fold_byte, fold_char, is_letter_code, FoldedChar, ALPHABET_SIZE, SPACE_CODE};

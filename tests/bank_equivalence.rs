@@ -270,6 +270,52 @@ fn block_tail_lengths_match_naive() {
     }
 }
 
+/// Every document length from empty through three 64-byte extraction
+/// blocks, streamed in chunk sizes that cut inside the 4-gram warm-up and
+/// on both sides of a block edge, classifies exactly like whole-buffer
+/// `classify` and the naive path, on both dispatch paths. The bytes mix
+/// letters and spaces with the Latin-1 letters 0xC0–0xFF and the bytes
+/// the vector fold treats apart (0xD7 ×, 0xDF ß, 0xF7 ÷, 0xFF ÿ), which
+/// `synthetic_doc` never emits.
+#[test]
+fn streamed_lengths_and_chunkings_match_whole_buffer_and_naive() {
+    const SPECIAL: [u8; 4] = [0xD7, 0xDF, 0xF7, 0xFF];
+    let doc: Vec<u8> = synthetic_doc(5, 200)
+        .into_iter()
+        .enumerate()
+        .map(|(i, b)| match i % 5 {
+            1 => 0xC0 + (i * 7 % 64) as u8,
+            3 => SPECIAL[i / 5 % 4],
+            _ => b,
+        })
+        .collect();
+    for p in [8usize, 20, 33] {
+        let auto = classifier_for(p);
+        let mut scalar = auto.clone();
+        scalar.set_force_scalar(true);
+        for len in 0..=doc.len() {
+            let doc = &doc[..len];
+            let grams = NGramExtractor::new(auto.spec()).extract(doc);
+            let naive = auto.classify_ngrams_naive(&grams);
+            assert_eq!(auto.classify(doc), naive, "whole p={p} len={len}");
+            for c in [auto, &scalar] {
+                for size in [1usize, 3, 4, 63, 64, 65, 130] {
+                    let mut sess = StreamingClassifier::new(c);
+                    for chunk in doc.chunks(size) {
+                        sess.feed(chunk);
+                    }
+                    assert_eq!(
+                        sess.finish(),
+                        naive,
+                        "{} p={p} len={len} chunk={size}",
+                        c.simd_level()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn bank_shape_reflects_language_count() {
     for (p, bits) in [
