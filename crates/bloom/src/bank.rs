@@ -79,26 +79,33 @@ pub trait KeySource {
     /// at most 64 keys: the AVX2 engine's entry, which probes each batch
     /// in one vector call (see the `simd` module's Staging section).
     ///
-    /// The default stages [`Self::for_each_key`]'s keys 64 at a time. A
-    /// source that can build a batch faster than one key at a time (the
-    /// vector n-gram extractor) overrides it.
-    fn for_each_batch(self, mut sink: impl FnMut(&[u32]))
+    /// The default is [`stage_batches`]. A source that can build a batch
+    /// faster than one key at a time (the vector n-gram extractor)
+    /// overrides it, and stages what it leaves through `stage_batches`.
+    fn for_each_batch(self, sink: impl FnMut(&[u32]))
     where
         Self: Sized,
     {
-        let mut batch = [0u32; 64];
-        let mut filled = 0usize;
-        self.for_each_key(|key| {
-            batch[filled] = key as u32;
-            filled += 1;
-            if filled == batch.len() {
-                sink(&batch);
-                filled = 0;
-            }
-        });
-        if filled > 0 {
-            sink(&batch[..filled]);
+        stage_batches(self, sink);
+    }
+}
+
+/// Stage `src`'s keys ([`KeySource::for_each_key`]) 64 at a time into
+/// `sink`, the last batch shorter: the one staging loop behind every
+/// batch that is not built in vector registers.
+pub fn stage_batches(src: impl KeySource, mut sink: impl FnMut(&[u32])) {
+    let mut batch = [0u32; 64];
+    let mut filled = 0usize;
+    src.for_each_key(|key| {
+        batch[filled] = key as u32;
+        filled += 1;
+        if filled == batch.len() {
+            sink(&batch);
+            filled = 0;
         }
+    });
+    if filled > 0 {
+        sink(&batch[..filled]);
     }
 }
 

@@ -40,7 +40,7 @@ mod parallel;
 mod params;
 mod simd;
 
-pub use bank::{FilterBank, KeySource};
+pub use bank::{stage_batches, FilterBank, KeySource};
 pub use bitvec::BitVector;
 pub use classic::ClassicBloomFilter;
 pub use lc_hash::SimdLevel;

@@ -38,8 +38,9 @@
 //! inlined; the fewer than 8 keys left over take the scalar probe. The
 //! n-gram extractor builds a 64-byte block's 64 keys in vector registers
 //! at the paper's shape (`lc_ngram::StreamingExtractor::feed_batches`);
-//! every other source is staged by the trait's default, which writes the
-//! scalar keys into a 64-key buffer one at a time.
+//! every other key, from any source, goes through
+//! [`crate::stage_batches`], which writes the scalar keys into a 64-key
+//! buffer one at a time.
 //!
 //! Why batches: handing over each 8-key block in its own out-of-line
 //! AVX2 call was slow. The call's first 32-byte load of the block cannot

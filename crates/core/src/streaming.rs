@@ -19,7 +19,8 @@ use crate::result::ClassificationResult;
 /// the byte-fold/shift/phase state machine inlines into the bank's
 /// monomorphized probe loop — extraction and classification in one pass,
 /// no `NGram` buffer in between. The AVX2 engine calls `for_each_batch`
-/// instead, which runs [`StreamingExtractor::feed_batches`]. Shared by
+/// instead, which runs [`StreamingExtractor::feed_batches`] and stages
+/// the bytes it leaves through [`lc_bloom::stage_batches`]. Shared by
 /// whole-buffer [`MultiLanguageClassifier::classify`] (one chunk = the
 /// document) and [`StreamingSession::feed`].
 pub(crate) struct FusedChunk<'a> {
@@ -34,10 +35,18 @@ impl KeySource for FusedChunk<'_> {
     }
 
     /// The AVX2 engine's entry: [`StreamingExtractor::feed_batches`]
-    /// builds the paper's 4-grams 64 at a time in vector registers.
+    /// builds the paper's 4-grams 64 at a time in vector registers; the
+    /// bytes it leaves take the scalar shift register, staged.
     #[inline]
-    fn for_each_batch(self, sink: impl FnMut(&[u32])) {
-        self.extractor.feed_batches(self.chunk, sink);
+    fn for_each_batch(self, mut sink: impl FnMut(&[u32])) {
+        let chunk = self.extractor.feed_batches(self.chunk, &mut sink);
+        lc_bloom::stage_batches(
+            FusedChunk {
+                extractor: self.extractor,
+                chunk,
+            },
+            sink,
+        );
     }
 }
 

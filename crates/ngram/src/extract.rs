@@ -187,40 +187,28 @@ impl StreamingExtractor {
         }
     }
 
-    /// Feed a chunk like [`Self::feed_with`], but hand the keys to `sink`
-    /// in batches of at most 64, each key truncated to `u32` (exact while
-    /// the spec's grams fit 32 bits, `n ≤ 6`). The batches concatenate to
-    /// exactly `feed_with`'s keys, and the state carries across chunks the
-    /// same way.
+    /// Feed the front of a chunk in batches of 64 keys, each truncated to
+    /// `u32`, and return the bytes left over, which the caller feeds
+    /// through [`Self::feed_with`]. The batches followed by `feed_with`'s
+    /// keys for the rest are exactly `feed_with`'s keys for the whole
+    /// chunk, and the state carries across chunks the same way.
     ///
-    /// The paper's shape (`n = 4`, no sub-sampling) on a CPU with AVX2
-    /// builds each 64-byte block's 64 keys in vector registers, with no
-    /// chain from one byte to the next (see the `simd` module); the
-    /// chunk's warm-up and its last bytes short of a block take the
-    /// scalar shift register. Every other shape stages `feed_with`'s keys.
-    pub fn feed_batches<F: FnMut(&[u32])>(&mut self, chunk: &[u8], mut sink: F) {
-        let mut rest = chunk;
-        if self.spec.n() == 4 && self.subsample == 1 {
-            let warm = (self.spec.n() - 1).saturating_sub(self.chars_seen);
-            let (head, body) = rest.split_at(warm.min(rest.len()));
-            self.feed_with(head, |_| {});
-            let done = simd::keys_by_block(&mut self.state, body, &mut sink);
-            self.chars_seen += done;
-            rest = &body[done..];
+    /// Only the paper's shape (`n = 4`, no sub-sampling) on a CPU with
+    /// AVX2 takes any bytes: the chunk's warm-up, then each whole 64-byte
+    /// block, whose 64 keys are built in vector registers with no chain
+    /// from one byte to the next (see the `simd` module). Every other
+    /// shape or CPU gets the whole chunk back.
+    #[must_use = "the bytes left over still have to go through `feed_with`"]
+    pub fn feed_batches<'c, F: FnMut(&[u32])>(&mut self, chunk: &'c [u8], mut sink: F) -> &'c [u8] {
+        if self.spec.n() != 4 || self.subsample != 1 {
+            return chunk;
         }
-        let mut batch = [0u32; 64];
-        let mut filled = 0;
-        self.feed_with(rest, |g| {
-            batch[filled] = g.value() as u32;
-            filled += 1;
-            if filled == batch.len() {
-                sink(&batch);
-                filled = 0;
-            }
-        });
-        if filled > 0 {
-            sink(&batch[..filled]);
-        }
+        let warm = (self.spec.n() - 1).saturating_sub(self.chars_seen);
+        let (head, body) = chunk.split_at(warm.min(chunk.len()));
+        self.feed_with(head, |_| {});
+        let done = simd::keys_by_block(&mut self.state, body, &mut sink);
+        self.chars_seen += done;
+        &body[done..]
     }
 
     /// Feed a chunk, appending produced n-grams to `out` (not cleared).
@@ -352,16 +340,18 @@ mod tests {
         assert_eq!(clean.len(), 2);
     }
 
-    /// `feed_batches`' keys for `text` cut at `cuts`, as the concatenated
-    /// batches, checking every batch holds 1 to 64 keys.
+    /// `feed_batches`' keys for `text` cut at `cuts`, each chunk's
+    /// leftover bytes fed through `feed_with`, checking every batch holds
+    /// 64 keys.
     fn batched(spec: NGramSpec, s: usize, text: &[u8], cuts: &[usize]) -> Vec<u32> {
         let mut ex = StreamingExtractor::with_subsampling(spec, s);
         let mut keys = Vec::new();
         for w in cuts.windows(2) {
-            ex.feed_batches(&text[w[0]..w[1]], |batch| {
-                assert!((1..=64).contains(&batch.len()), "batch of {}", batch.len());
+            let rest = ex.feed_batches(&text[w[0]..w[1]], |batch| {
+                assert_eq!(batch.len(), 64);
                 keys.extend_from_slice(batch);
             });
+            ex.feed_with(rest, |g| keys.push(g.value() as u32));
         }
         assert_eq!(ex.chars_seen(), text.len());
         assert_eq!(ex.grams_emitted(), keys.len());
@@ -481,9 +471,9 @@ mod tests {
             prop_assert_eq!(ex.chars_seen(), text.len());
         }
 
-        /// `feed_batches` emits exactly `feed_with`'s keys (truncated to
-        /// `u32`) for any bytes, shape and chunking, in batches of at
-        /// most 64.
+        /// `feed_batches` and `feed_with` on its leftover emit exactly
+        /// `feed_with`'s keys (truncated to `u32`) for any bytes, shape
+        /// and chunking.
         #[test]
         fn feed_batches_matches_feed_with(
             text in proptest::collection::vec(any::<u8>(), 0..400),

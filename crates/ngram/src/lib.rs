@@ -18,10 +18,11 @@
 //!   and optional sub-sampling (the HAIL-style "test only every s-th n-gram"
 //!   fallback discussed in §3.3/§5.2). For a vector consumer,
 //!   [`StreamingExtractor::feed_batches`] hands over the same keys in
-//!   batches of up to 64; at the paper's shape (`n = 4`, every n-gram) on
-//!   a CPU with AVX2 it builds each 64-byte block's keys in registers, with
-//!   no serial chain from one byte to the next (the crate's one `unsafe`
-//!   module, `simd`).
+//!   batches of 64 where it can: at the paper's shape (`n = 4`, every
+//!   n-gram) on a CPU with AVX2 it builds each 64-byte block's keys in
+//!   registers, with no serial chain from one byte to the next (the
+//!   crate's one `unsafe` module, `simd`), and returns the bytes left
+//!   for `feed_with`.
 //! * [`profile`] — n-gram frequency counting and **top-t profiles** (the
 //!   paper uses the `t = 5000` most frequent 4-grams of a training set), plus
 //!   ranked profiles for the Cavnar–Trenkle baseline.

@@ -157,6 +157,17 @@ impl From<FrameError> for ClientError {
     }
 }
 
+/// Refuse a document the Size frame cannot announce: both Size fields
+/// are `u32`, so the byte length is the binding limit.
+fn check_size(len: u64) -> Result<(), ClientError> {
+    if len > u64::from(u32::MAX) {
+        return Err(ClientError::Io(io::Error::other(
+            "document exceeds the 4 GiB Size announcement limit",
+        )));
+    }
+    Ok(())
+}
+
 /// A connected classification client.
 #[derive(Debug)]
 pub struct ClassifyClient {
@@ -270,12 +281,7 @@ impl ClassifyClient {
         reader: &mut R,
         len: u64,
     ) -> Result<ServedResult, ClientError> {
-        // Both Size fields are u32: the byte length is the binding limit.
-        if len > u64::from(u32::MAX) {
-            return Err(ClientError::Io(io::Error::other(
-                "document exceeds the 4 GiB Size announcement limit",
-            )));
-        }
+        check_size(len)?;
         let words = len.div_ceil(8);
         if let Err(e) = self.send_document(reader, len, words) {
             // The server session is mid-transfer; a Reset re-arms it so
@@ -300,14 +306,12 @@ impl ClassifyClient {
         let mut in_flight: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
         for doc in docs {
             let len = doc.len() as u64;
-            if len > u64::from(u32::MAX) {
+            if let Err(e) = check_size(len) {
                 // Local validation failure, but earlier documents are
                 // still in flight: realign before bailing like every
                 // other error path here.
                 self.drain_mux(in_flight.len());
-                return Err(ClientError::Io(io::Error::other(
-                    "document exceeds the 4 GiB Size announcement limit",
-                )));
+                return Err(e);
             }
             let words = len.div_ceil(8);
             if let Err(e) = self.send_document(&mut io::Cursor::new(doc), len, words) {
@@ -383,8 +387,9 @@ impl ClassifyClient {
     /// saturated pool (the very situation worth inspecting) cannot delay
     /// or drop the answer. `detail` 0 and 1 answer the same counters,
     /// histograms and shard table; `detail` 2 or more also drains the
-    /// server's trace spans (each span is reported once) and copies its
-    /// history ring.
+    /// server's trace spans (each span is reported once). A rate watcher
+    /// asks for `detail` 0 and subtracts two snapshots
+    /// ([`crate::StatsDelta`]), leaving the spans to a trace reader.
     ///
     /// Call it with no documents in flight on this connection — the report
     /// would otherwise interleave with (and be mistaken for) a document
@@ -413,11 +418,7 @@ impl ClassifyClient {
     /// interleaving calls across channels is the caller's pipelining.
     pub fn classify_on(&mut self, channel: u16, doc: &[u8]) -> Result<ServedResult, ClientError> {
         let len = doc.len() as u64;
-        if len > u64::from(u32::MAX) {
-            return Err(ClientError::Io(io::Error::other(
-                "document exceeds the 4 GiB Size announcement limit",
-            )));
-        }
+        check_size(len)?;
         if let Err(e) =
             self.send_document_on(channel, &mut io::Cursor::new(doc), len, len.div_ceil(8))
         {
@@ -464,11 +465,9 @@ impl ClassifyClient {
             let lane = i % channels as usize;
             let channel = lane as u16 + 1;
             let len = doc.len() as u64;
-            if len > u64::from(u32::MAX) {
+            if let Err(e) = check_size(len) {
                 self.drain_mux(owed(&pending));
-                return Err(ClientError::Io(io::Error::other(
-                    "document exceeds the 4 GiB Size announcement limit",
-                )));
+                return Err(e);
             }
             if let Err(e) =
                 self.send_document_on(channel, &mut io::Cursor::new(doc), len, len.div_ceil(8))
@@ -564,10 +563,8 @@ impl ClassifyClient {
                     let lane = i % channels as usize;
                     let channel = lane as u16 + 1;
                     let len = doc.len() as u64;
-                    if len > u64::from(u32::MAX) {
-                        outcomes[i] = Some(Err(ClientError::Io(io::Error::other(
-                            "document exceeds the 4 GiB Size announcement limit",
-                        ))));
+                    if let Err(e) = check_size(len) {
+                        outcomes[i] = Some(Err(e));
                         continue;
                     }
                     match self.send_document_on(

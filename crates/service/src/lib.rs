@@ -82,15 +82,14 @@ pub use client::{ClassifyClient, ClientError, RetryPolicy, ServedResult};
 pub use lc_reactor::{install_termination_handler, raise_nofile_limit, termination_requested};
 pub use metrics::{
     histogram_percentile_us, latency_bucket, MetricsSnapshot, ServiceMetrics, ShardCounters,
-    ShardStats, SnapshotDecodeError, EVENTS_PER_WAKE_BOUNDS, LATENCY_BOUNDS_US, LATENCY_BUCKETS,
-    STATS_SCHEMA_VERSION,
+    ShardDelta, ShardStats, SnapshotDecodeError, StatsDelta, EVENTS_PER_WAKE_BOUNDS,
+    LATENCY_BOUNDS_US, LATENCY_BUCKETS, STATS_SCHEMA_VERSION,
 };
 pub use outbound::{high_water_op, MaskOp, ResponseSink};
 pub use server::{serve, ServerHandle, ServiceConfig};
 pub use session::Session;
 pub use trace::{
-    derive_trace_id, fault_name, HistoryRing, HistoryShard, HistorySlot, SpanRecord, SpanSet,
-    FAULT_WORKER_DELAY, HISTORY_SLOTS, SPAN_BUFFER, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_PARKED,
-    SPAN_SAMPLED, SPAN_SLOW,
+    derive_trace_id, fault_name, SpanRecord, SpanSet, FAULT_WORKER_DELAY, SPAN_BUFFER,
+    SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_PARKED, SPAN_SAMPLED, SPAN_SLOW,
 };
 pub use worker::{ChannelKey, WorkerPool};

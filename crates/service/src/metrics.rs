@@ -20,7 +20,7 @@
 //! (sampled, slow or faulted) takes its shard buffer's lock.
 
 use crate::sync::{AtomicU64, Ordering};
-use crate::trace::{HistoryShard, HistorySlot, SpanRecord, SpanSet};
+use crate::trace::{SpanRecord, SpanSet};
 use std::time::Duration;
 
 /// Upper bounds of the latency histogram buckets, in microseconds; one
@@ -415,7 +415,6 @@ impl ServiceMetrics {
             }),
             shards,
             spans: Vec::new(),
-            history: Vec::new(),
             simd: self.simd.get().cloned().unwrap_or_default(),
         }
     }
@@ -505,9 +504,6 @@ pub struct MetricsSnapshot {
     /// documents always, sampled and slow ones per `--trace-sample` /
     /// `--trace-slow-us`; empty in plain snapshots and at lower detail.
     pub spans: Vec<SpanRecord>,
-    /// Time-series history slots attached by a `GetStats(detail=2)`
-    /// answer when the server's sampler is running; empty otherwise.
-    pub history: Vec<HistorySlot>,
     /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
     /// empty when the server predates the field or never set it.
     pub simd: String,
@@ -541,6 +537,9 @@ const SEC_SHARDS: u16 = 5;
 /// emits it any more and the decoder skips it; never reuse the value.
 const SEC_RINGS: u16 = 6;
 const SEC_SPANS: u16 = 7;
+/// Retired: the server-side time-series history of older servers.
+/// Watchers now subtract two counter snapshots ([`StatsDelta`]); the
+/// decoder skips the section. Never reuse the value.
 const SEC_HISTORY: u16 = 8;
 const SEC_SIMD: u16 = 9;
 
@@ -550,10 +549,6 @@ const STAGE_COUNT: usize = 4;
 /// section header so a future schema can append fields that old decoders
 /// skip per-record.
 const SPAN_RECORD_BYTES: usize = 70;
-/// `u64` fields per history slot (before the per-shard table).
-const HISTORY_SLOT_FIELDS: usize = 6;
-/// `u64` fields per history-slot shard entry.
-const HISTORY_SHARD_FIELDS: usize = 3;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -773,32 +768,6 @@ impl MetricsSnapshot {
             put_section(&mut out, SEC_SPANS, &body);
         }
 
-        if !self.history.is_empty() {
-            let mut body = Vec::new();
-            put_u32(&mut body, self.history.len() as u32);
-            put_u16(&mut body, HISTORY_SLOT_FIELDS as u16);
-            put_u16(&mut body, HISTORY_SHARD_FIELDS as u16);
-            for slot in &self.history {
-                for v in [
-                    slot.ts_ns,
-                    slot.interval_us,
-                    slot.docs,
-                    slot.doc_bytes,
-                    slot.errors,
-                    slot.faults,
-                ] {
-                    put_u64(&mut body, v);
-                }
-                put_u16(&mut body, slot.shards.len() as u16);
-                for sh in &slot.shards {
-                    put_u64(&mut body, sh.docs);
-                    put_u64(&mut body, sh.busy_ns);
-                    put_u64(&mut body, sh.queue_depth);
-                }
-            }
-            put_section(&mut out, SEC_HISTORY, &body);
-        }
-
         if !self.simd.is_empty() {
             let b = self.simd.as_bytes();
             let b = &b[..b.len().min(u16::MAX as usize)];
@@ -902,9 +871,9 @@ impl MetricsSnapshot {
                     }
                     snap.shards = shards;
                 }
-                // An older server's event-ring dumps: skipped like an
-                // unknown section.
-                SEC_RINGS => {}
+                // An older server's event-ring dumps or history slots:
+                // skipped like an unknown section.
+                SEC_RINGS | SEC_HISTORY => {}
                 SEC_SPANS => {
                     let n = body.u32()? as usize;
                     let rec_len = body.u16()? as usize;
@@ -934,49 +903,6 @@ impl MetricsSnapshot {
                         // Trailing bytes are fields from a newer schema.
                     }
                     snap.spans = spans;
-                }
-                SEC_HISTORY => {
-                    let n = body.u32()? as usize;
-                    let slot_fields = body.u16()? as usize;
-                    let shard_fields = body.u16()? as usize;
-                    if slot_fields < HISTORY_SLOT_FIELDS || shard_fields < HISTORY_SHARD_FIELDS {
-                        return Err(SnapshotDecodeError("history slot shorter than known"));
-                    }
-                    let mut history = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        let mut vals = [0u64; HISTORY_SLOT_FIELDS];
-                        for slot in vals.iter_mut() {
-                            *slot = body.u64()?;
-                        }
-                        for _ in HISTORY_SLOT_FIELDS..slot_fields {
-                            let _ = body.u64()?; // fields from a newer schema
-                        }
-                        let shard_count = body.u16()? as usize;
-                        let mut shards = Vec::with_capacity(shard_count.min(1024));
-                        for _ in 0..shard_count {
-                            let docs = body.u64()?;
-                            let busy_ns = body.u64()?;
-                            let queue_depth = body.u64()?;
-                            for _ in HISTORY_SHARD_FIELDS..shard_fields {
-                                let _ = body.u64()?;
-                            }
-                            shards.push(HistoryShard {
-                                docs,
-                                busy_ns,
-                                queue_depth,
-                            });
-                        }
-                        history.push(HistorySlot {
-                            ts_ns: vals[0],
-                            interval_us: vals[1],
-                            docs: vals[2],
-                            doc_bytes: vals[3],
-                            errors: vals[4],
-                            faults: vals[5],
-                            shards,
-                        });
-                    }
-                    snap.history = history;
                 }
                 SEC_SIMD => {
                     let len = body.u16()? as usize;
@@ -1112,6 +1038,93 @@ impl std::fmt::Display for MetricsSnapshot {
             write!(f, " | simd {}", self.simd)?;
         }
         Ok(())
+    }
+}
+
+/// One shard's share of a [`StatsDelta`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardDelta {
+    /// Documents latched on this shard during the interval.
+    pub docs: u64,
+    /// Nanoseconds the shard thread spent applying commands.
+    pub busy_ns: u64,
+    /// Queue depth at the interval's end (a gauge, not a delta).
+    pub queue_depth: u64,
+}
+
+/// What changed between two snapshots of the same server: counter
+/// deltas over the wall-clock interval the reader measured between its
+/// two reads. The server exports only monotonic counters; a watcher
+/// (`lcbloom top`, `lcbloom stats --watch`) keeps its previous snapshot
+/// and works out its own rates, like a Prometheus `rate()`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StatsDelta {
+    /// The measured wall-clock interval between the two reads.
+    pub interval: Duration,
+    /// Documents classified during the interval.
+    pub docs: u64,
+    /// Document payload bytes classified during the interval.
+    pub doc_bytes: u64,
+    /// Protocol faults answered during the interval.
+    pub errors: u64,
+    /// Chaos faults injected during the interval.
+    pub faults: u64,
+    /// Per-shard deltas/gauges, shard-indexed.
+    pub shards: Vec<ShardDelta>,
+}
+
+impl StatsDelta {
+    /// The delta from `prev` to `cur`, read `interval` apart. Counters
+    /// are monotonic, but the subtraction saturates anyway so a torn
+    /// mid-load snapshot can never produce a wrapped delta.
+    pub fn delta(prev: &MetricsSnapshot, cur: &MetricsSnapshot, interval: Duration) -> Self {
+        Self {
+            interval,
+            docs: cur.documents.saturating_sub(prev.documents),
+            doc_bytes: cur.bytes.saturating_sub(prev.bytes),
+            errors: cur.protocol_errors.saturating_sub(prev.protocol_errors),
+            faults: cur.faults_injected.saturating_sub(prev.faults_injected),
+            shards: cur
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    let p = prev.shards.get(i).copied().unwrap_or_default();
+                    ShardDelta {
+                        docs: s.docs.saturating_sub(p.docs),
+                        busy_ns: s.busy_ns.saturating_sub(p.busy_ns),
+                        queue_depth: s.queue_depth,
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// `v` per second of the interval (0 for an empty interval).
+    fn per_s(&self, v: f64) -> f64 {
+        let secs = self.interval.as_secs_f64();
+        if secs == 0.0 {
+            0.0
+        } else {
+            v / secs
+        }
+    }
+
+    /// Documents per second over the interval.
+    pub fn docs_per_s(&self) -> f64 {
+        self.per_s(self.docs as f64)
+    }
+
+    /// Payload megabytes per second over the interval.
+    pub fn mb_per_s(&self) -> f64 {
+        self.per_s(self.doc_bytes as f64 / (1024.0 * 1024.0))
+    }
+
+    /// Fraction of the interval shard `i` spent busy (0 when unknown).
+    pub fn busy_frac(&self, i: usize) -> f64 {
+        self.shards
+            .get(i)
+            .map_or(0.0, |s| self.per_s(s.busy_ns as f64 / 1e9).min(1.0))
     }
 }
 
@@ -1425,22 +1438,6 @@ mod tests {
             },
             SpanRecord::default(),
         ];
-        snap.history = vec![HistorySlot {
-            ts_ns: 2_000_000,
-            interval_us: 1_000_000,
-            docs: 120,
-            doc_bytes: 1 << 20,
-            errors: 1,
-            faults: 0,
-            shards: vec![
-                HistoryShard {
-                    docs: 60,
-                    busy_ns: 300_000_000,
-                    queue_depth: 2,
-                },
-                HistoryShard::default(),
-            ],
-        }];
         snap
     }
 
@@ -1474,6 +1471,20 @@ mod tests {
             put_u64(&mut body, arg);
         }
         put_section(&mut bytes, SEC_RINGS, &body);
+        // Another retired section: an older server's history ring (one
+        // slot of six counters and one three-field shard entry).
+        let mut body = Vec::new();
+        put_u32(&mut body, 1);
+        put_u16(&mut body, 6);
+        put_u16(&mut body, 3);
+        for v in [2_000_000u64, 1_000_000, 120, 1 << 20, 1, 0] {
+            put_u64(&mut body, v);
+        }
+        put_u16(&mut body, 1);
+        for v in [60u64, 300_000_000, 2] {
+            put_u64(&mut body, v);
+        }
+        put_section(&mut bytes, SEC_HISTORY, &body);
         // A future counters section with extra appended counters: replace
         // nothing, just append a second counters section carrying more
         // fields than we know (later sections overwrite earlier ones).
@@ -1492,14 +1503,12 @@ mod tests {
     }
 
     #[test]
-    fn plain_snapshots_carry_no_span_or_history_sections() {
+    fn plain_snapshots_carry_no_span_section() {
         // Detail ≤ 1 answers must stay bit-identical to the original
-        // schema: the span and history sections only exist when populated,
-        // so a plain snapshot's bytes list exactly the original section
-        // tags.
+        // schema: the span section only exists when populated, so a
+        // plain snapshot's bytes list exactly the original section tags.
         let mut snap = busy_snapshot();
         snap.spans.clear();
-        snap.history.clear();
         snap.simd.clear();
         let bytes = snap.encode();
         let mut r = Reader { buf: &bytes[2..] }; // skip the version word
@@ -1520,6 +1529,32 @@ mod tests {
                 SEC_SHARDS
             ]
         );
+    }
+
+    #[test]
+    fn delta_rates_come_from_the_measured_interval() {
+        let m = ServiceMetrics::with_topology(vec!["en".into()], 2);
+        // Counts from before the interval must not show in its delta.
+        m.record_document(0, 100, &doc(7, 0, 100));
+        let prev = m.snapshot();
+        for _ in 0..500 {
+            m.record_document(0, 100, &doc(2048, 0, 100));
+        }
+        let cur = m.snapshot();
+        let delta = StatsDelta::delta(&prev, &cur, Duration::from_millis(500));
+        assert_eq!(delta.docs, 500);
+        assert_eq!(delta.doc_bytes, 500 * 2048);
+        assert!((delta.docs_per_s() - 1000.0).abs() < 1e-9);
+        let mbps = 500.0 * 2048.0 / (1024.0 * 1024.0) * 2.0;
+        assert!((delta.mb_per_s() - mbps).abs() < 1e-9);
+        assert_eq!(delta.shards.len(), 2);
+        assert_eq!(delta.shards[0].docs, 500);
+        // An empty interval has no rate, and a later snapshot read as
+        // `prev` (a torn read) saturates instead of wrapping.
+        let torn = StatsDelta::delta(&cur, &prev, Duration::ZERO);
+        assert_eq!(torn.docs, 0);
+        assert_eq!(torn.docs_per_s(), 0.0);
+        assert_eq!(torn.busy_frac(0), 0.0);
     }
 
     #[test]
@@ -1554,10 +1589,6 @@ mod tests {
                 (any::<u64>(), 0u64..1 << 40, any::<u16>(), 0u16..64, any::<u32>(),
                  any::<u8>(), 0u8..12, any::<u32>(),
                  proptest::collection::vec(0u64..1 << 40, 5)), 0..6),
-            history in proptest::collection::vec(
-                (proptest::collection::vec(0u64..1 << 40, HISTORY_SLOT_FIELDS),
-                 proptest::collection::vec(
-                     proptest::collection::vec(0u64..1 << 40, HISTORY_SHARD_FIELDS), 0..4)), 0..4),
             simd in proptest::SampleFn(|rng: &mut proptest::TestRng| {
                 ["", "scalar", "avx2"][(rng.next_u64() % 3) as usize].to_string()
             }),
@@ -1603,25 +1634,6 @@ mod tests {
                             }
                         },
                     )
-                    .collect(),
-                history: history
-                    .iter()
-                    .map(|(vals, shards)| HistorySlot {
-                        ts_ns: vals[0],
-                        interval_us: vals[1],
-                        docs: vals[2],
-                        doc_bytes: vals[3],
-                        errors: vals[4],
-                        faults: vals[5],
-                        shards: shards
-                            .iter()
-                            .map(|v| HistoryShard {
-                                docs: v[0],
-                                busy_ns: v[1],
-                                queue_depth: v[2],
-                            })
-                            .collect(),
-                    })
                     .collect(),
                 ..MetricsSnapshot::default()
             };

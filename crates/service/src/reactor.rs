@@ -53,7 +53,6 @@ use crate::chaos::{FaultPlan, FaultSite};
 use crate::metrics::ServiceMetrics;
 use crate::outbound::{high_water_op, MaskOp, NewConn, OutboundInner, ReactorWaker, ResponseSink};
 use crate::sync::{AtomicBool, Ordering};
-use crate::trace::HistoryRing;
 use crate::worker::{ChannelKey, Job};
 
 /// Token reserved for the reactor's own eventfd.
@@ -164,15 +163,12 @@ struct Conn {
 }
 
 /// Cross-thread control state every reactor shares with the server:
-/// shutdown/drain latches, the optional fault-injection plan and the
-/// history ring.
+/// shutdown/drain latches and the optional fault-injection plan.
 #[derive(Clone)]
 pub(crate) struct ReactorControl {
     pub shutdown: Arc<AtomicBool>,
     pub drain: Arc<AtomicBool>,
     pub plan: Option<Arc<FaultPlan>>,
-    /// Time-series ring for `GetStats(detail=2)` dumps.
-    pub history: Arc<HistoryRing>,
 }
 
 /// Spawn one reactor thread.
@@ -191,7 +187,6 @@ pub(crate) fn spawn_reactor(
         shutdown,
         drain,
         plan,
-        history,
     } = control;
     let mut reactor = Reactor {
         epoll,
@@ -202,7 +197,6 @@ pub(crate) fn spawn_reactor(
         shutdown,
         drain,
         plan,
-        history,
         cfg,
         conns: HashMap::new(),
         deferred: Vec::new(),
@@ -225,8 +219,6 @@ struct Reactor {
     drain: Arc<AtomicBool>,
     /// Seeded fault-injection plan; `None` in production.
     plan: Option<Arc<FaultPlan>>,
-    /// History ring, copied into `GetStats(detail=2)` answers.
-    history: Arc<HistoryRing>,
     cfg: ReactorConfig,
     conns: HashMap<u64, Conn>,
     /// Connections that left their last service pass with work no external
@@ -650,7 +642,6 @@ impl Reactor {
             waker,
             drain,
             plan,
-            history,
             ..
         } = self;
         let Some(c) = conns.get_mut(&conn) else {
@@ -678,10 +669,9 @@ impl Reactor {
                                     let mut snap = metrics.snapshot();
                                     // detail=2 adds the trace plane: the
                                     // span dump *drains* (each span is
-                                    // reported once); history is copied.
+                                    // reported once).
                                     if detail >= 2 {
                                         snap.spans = metrics.spans().drain();
-                                        snap.history = history.dump();
                                     }
                                     push_response(
                                         c,

@@ -14,13 +14,12 @@ use lc_wire::WireResponse;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::chaos::{ChaosConfig, FaultPlan};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::outbound::{NewConn, ReactorWaker};
 use crate::reactor::{spawn_reactor, ReactorConfig, ReactorControl};
-use crate::trace::{HistoryRing, HistorySlot};
 use crate::worker::WorkerPool;
 
 /// Server tunables.
@@ -72,10 +71,6 @@ pub struct ServiceConfig {
     /// microseconds (0 = off) — slow outliers become individually
     /// inspectable even with head sampling off.
     pub trace_slow_us: u64,
-    /// Cadence of the time-series sampler thread: one
-    /// [`crate::trace::HistorySlot`] delta per interval, the last
-    /// [`crate::trace::HISTORY_SLOTS`] kept.
-    pub history_interval: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -94,7 +89,6 @@ impl Default for ServiceConfig {
             chaos: None,
             trace_sample: 0,
             trace_slow_us: 0,
-            history_interval: Duration::from_secs(1),
         }
     }
 }
@@ -131,9 +125,7 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    sampler_thread: Option<JoinHandle<()>>,
     metrics: Arc<ServiceMetrics>,
-    history: Arc<HistoryRing>,
 }
 
 impl ServerHandle {
@@ -145,11 +137,6 @@ impl ServerHandle {
     /// Shared metrics.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
         &self.metrics
-    }
-
-    /// The time-series history ring the sampler thread feeds.
-    pub fn history(&self) -> &Arc<HistoryRing> {
-        &self.history
     }
 
     /// Graceful drain, then shutdown. Sets the drain flag — new accepts
@@ -179,7 +166,7 @@ impl ServerHandle {
     /// threads. Returns the final metrics as a shutdown summary.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         // ordering: Release pairs with the Acquire loads in the reactor
-        // loop, the sampler, and the acceptor; the flag is a one-way
+        // loop and the acceptor; the flag is a one-way
         // latch, so Release/Acquire is all the ordering it carries.
         self.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a dummy connection. An unspecified
@@ -194,9 +181,6 @@ impl ServerHandle {
         }
         let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler_thread.take() {
             let _ = h.join();
         }
         self.metrics.snapshot()
@@ -229,7 +213,6 @@ pub fn serve(
         .as_ref()
         .filter(|c| c.is_active())
         .map(|c| Arc::new(FaultPlan::new(c.clone())));
-    let history = Arc::new(HistoryRing::new());
     let pool = WorkerPool::new(
         Arc::clone(&classifier),
         Arc::clone(&metrics),
@@ -273,7 +256,6 @@ pub fn serve(
                 shutdown: Arc::clone(&shutdown),
                 drain: Arc::clone(&draining),
                 plan: plan.clone(),
-                history: Arc::clone(&history),
             },
             reactor_cfg.clone(),
         )?;
@@ -296,59 +278,6 @@ pub fn serve(
         pool.shutdown();
         return Err(e);
     }
-
-    // The time-series sampler: one HistorySlot delta per interval, from
-    // the same snapshots `lcbloom stats` reads — so the rate plane costs
-    // one snapshot per second, independent of load or watcher count.
-    let sampler_thread = {
-        let metrics = Arc::clone(&metrics);
-        let history = Arc::clone(&history);
-        let shutdown = Arc::clone(&shutdown);
-        let interval = config.history_interval.max(Duration::from_millis(10));
-        std::thread::Builder::new()
-            .name("lc-history".into())
-            .spawn(move || {
-                let epoch = Instant::now();
-                let mut prev = metrics.snapshot();
-                let mut last = epoch;
-                // Nap in short slices so shutdown is noticed promptly even
-                // under a long interval.
-                let nap = interval.min(Duration::from_millis(50));
-                // ordering: Acquire pairs with the shutdown latch's
-                // Release stores.
-                while !shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(nap);
-                    let now = Instant::now();
-                    if now.duration_since(last) < interval {
-                        continue;
-                    }
-                    let cur = metrics.snapshot();
-                    history.push(HistorySlot::delta(
-                        &prev,
-                        &cur,
-                        now.duration_since(epoch).as_nanos() as u64,
-                        now.duration_since(last),
-                    ));
-                    prev = cur;
-                    last = now;
-                }
-            })
-    };
-    let sampler_thread = match sampler_thread {
-        Ok(h) => h,
-        Err(e) => {
-            // ordering: Release — the shutdown latch again.
-            shutdown.store(true, Ordering::Release);
-            for waker in &wakers {
-                waker.wake();
-            }
-            for handle in reactor_threads {
-                let _ = handle.join();
-            }
-            pool.shutdown();
-            return Err(e);
-        }
-    };
 
     let accept_metrics = Arc::clone(&metrics);
     let accept_shutdown = Arc::clone(&shutdown);
@@ -443,8 +372,6 @@ pub fn serve(
         shutdown,
         draining,
         accept_thread: Some(accept_thread),
-        sampler_thread: Some(sampler_thread),
         metrics,
-        history,
     })
 }

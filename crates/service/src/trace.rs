@@ -1,9 +1,10 @@
-//! Document-granularity trace spans and the time-series history plane.
+//! Document-granularity trace spans.
 //!
-//! The PR 7 metrics layer answers "what is the server doing" with one
-//! aggregate snapshot. This module answers the two questions aggregates
-//! cannot: *what happened to this document* (trace spans) and *what
-//! changed over the last two minutes* (history ring).
+//! The metrics layer answers "what is the server doing" with one
+//! aggregate snapshot of monotonic counters; a watcher works out rates
+//! itself by subtracting two snapshots ([`crate::StatsDelta`]). This
+//! module answers the question aggregates cannot: *what happened to
+//! this document*.
 //!
 //! **Spans.** Every document gets one [`SpanRecord`], its stage record,
 //! built by its session on one set of clock edges: accept (the Size
@@ -27,16 +28,10 @@
 //! `lcbloom trace --follow` always sees current traffic. Spans leave the
 //! server via `GetStats(detail=2)` as their own tag/len section — old
 //! decoders skip the tag, so the schema stays v1-compatible — and the
-//! dump *drains*: each span is reported exactly once.
-//!
-//! **History.** A sampler thread snapshots the metrics every
-//! `--history-interval-ms` (default 1 s) and pushes the *delta* into a
-//! fixed 120-slot [`HistoryRing`]. Rates (docs/s, MB/s, per-shard busy
-//! fraction) are computed server-side from real intervals, so a watcher
-//! reconnecting mid-run gets two minutes of honest history instead of
-//! having to subtract two hand-timed pulls.
+//! dump *drains*: each span is reported exactly once. Rate watchers
+//! (`lcbloom top`, `lcbloom stats --watch`) poll at detail 0, so they
+//! never take spans away from a `trace --follow` reader.
 
-use crate::metrics::MetricsSnapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -46,9 +41,6 @@ use std::time::{Duration, Instant};
 /// onto current traffic, not an archive — a saturated shard wraps in
 /// well under a second at full sampling.
 pub const SPAN_BUFFER: usize = 256;
-
-/// Slots in the history ring: two minutes at the default 1 s interval.
-pub const HISTORY_SLOTS: usize = 120;
 
 /// Span flag: the head-based sampler chose this document.
 pub const SPAN_SAMPLED: u8 = 1;
@@ -244,137 +236,6 @@ impl SpanSet {
     }
 }
 
-/// One history slot's per-shard deltas and gauges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistoryShard {
-    /// Documents latched on this shard during the slot.
-    pub docs: u64,
-    /// Nanoseconds the shard thread spent applying commands.
-    pub busy_ns: u64,
-    /// Queue depth at the slot's end (a gauge, not a delta).
-    pub queue_depth: u64,
-}
-
-/// One interval of server activity: counter deltas over a measured
-/// wall-clock window, from which rates are computed server-side.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistorySlot {
-    /// Slot end, nanoseconds since the server's serving epoch.
-    pub ts_ns: u64,
-    /// The slot's actual wall-clock length in microseconds (the sampler
-    /// measures; it does not assume its nominal interval).
-    pub interval_us: u64,
-    /// Documents classified during the slot.
-    pub docs: u64,
-    /// Document payload bytes classified during the slot.
-    pub doc_bytes: u64,
-    /// Protocol faults answered during the slot.
-    pub errors: u64,
-    /// Chaos faults injected during the slot.
-    pub faults: u64,
-    /// Per-shard deltas/gauges, shard-indexed.
-    pub shards: Vec<HistoryShard>,
-}
-
-impl HistorySlot {
-    /// Build a slot from two successive snapshots and the measured
-    /// interval between them. Counters are monotonic, but the subtraction
-    /// saturates anyway so a torn mid-load snapshot can never produce a
-    /// wrapped delta.
-    pub fn delta(
-        prev: &MetricsSnapshot,
-        cur: &MetricsSnapshot,
-        ts_ns: u64,
-        interval: Duration,
-    ) -> Self {
-        Self {
-            ts_ns,
-            interval_us: interval.as_micros() as u64,
-            docs: cur.documents.saturating_sub(prev.documents),
-            doc_bytes: cur.bytes.saturating_sub(prev.bytes),
-            errors: cur.protocol_errors.saturating_sub(prev.protocol_errors),
-            faults: cur.faults_injected.saturating_sub(prev.faults_injected),
-            shards: cur
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let p = prev.shards.get(i).copied().unwrap_or_default();
-                    HistoryShard {
-                        docs: s.docs.saturating_sub(p.docs),
-                        busy_ns: s.busy_ns.saturating_sub(p.busy_ns),
-                        queue_depth: s.queue_depth,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Documents per second over the slot's measured interval.
-    pub fn docs_per_s(&self) -> f64 {
-        if self.interval_us == 0 {
-            return 0.0;
-        }
-        self.docs as f64 * 1e6 / self.interval_us as f64
-    }
-
-    /// Payload megabytes per second over the slot's measured interval.
-    pub fn mb_per_s(&self) -> f64 {
-        if self.interval_us == 0 {
-            return 0.0;
-        }
-        self.doc_bytes as f64 / (1024.0 * 1024.0) * 1e6 / self.interval_us as f64
-    }
-
-    /// Fraction of the slot shard `i` spent busy (0 when unknown).
-    pub fn busy_frac(&self, i: usize) -> f64 {
-        let Some(s) = self.shards.get(i) else {
-            return 0.0;
-        };
-        if self.interval_us == 0 {
-            return 0.0;
-        }
-        (s.busy_ns as f64 / 1e3 / self.interval_us as f64).min(1.0)
-    }
-}
-
-/// The fixed-depth time-series ring the sampler thread feeds: the last
-/// [`HISTORY_SLOTS`] intervals, oldest evicted first. Dumping *copies*
-/// (unlike span dumps): several watchers can follow the same history.
-#[derive(Debug)]
-pub struct HistoryRing {
-    slots: Mutex<VecDeque<HistorySlot>>,
-}
-
-impl HistoryRing {
-    /// An empty ring.
-    pub fn new() -> Self {
-        Self {
-            slots: Mutex::new(VecDeque::with_capacity(HISTORY_SLOTS)),
-        }
-    }
-
-    /// Append a slot, evicting the oldest past [`HISTORY_SLOTS`].
-    pub fn push(&self, slot: HistorySlot) {
-        let mut slots = unpoisoned(self.slots.lock());
-        if slots.len() >= HISTORY_SLOTS {
-            slots.pop_front();
-        }
-        slots.push_back(slot);
-    }
-
-    /// The buffered slots, oldest first.
-    pub fn dump(&self) -> Vec<HistorySlot> {
-        unpoisoned(self.slots.lock()).iter().cloned().collect()
-    }
-}
-
-impl Default for HistoryRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,46 +313,6 @@ mod tests {
         sampled.finish(record, Duration::ZERO);
         assert_eq!(sampled.drain()[0].flags, SPAN_SAMPLED);
         assert_eq!(set.captured(), 2);
-    }
-
-    #[test]
-    fn history_slot_rates_come_from_measured_intervals() {
-        use crate::metrics::ServiceMetrics;
-        let m = ServiceMetrics::with_topology(vec!["en".into()], 2);
-        let prev = m.snapshot();
-        let doc = SpanRecord {
-            doc_bytes: 2048,
-            ..SpanRecord::default()
-        };
-        for _ in 0..500 {
-            m.record_document(0, 100, &doc);
-        }
-        let cur = m.snapshot();
-        let slot = HistorySlot::delta(&prev, &cur, 1, Duration::from_millis(500));
-        assert_eq!(slot.docs, 500);
-        assert_eq!(slot.doc_bytes, 500 * 2048);
-        assert!((slot.docs_per_s() - 1000.0).abs() < 1.0);
-        let mbps = 500.0 * 2048.0 / (1024.0 * 1024.0) * 2.0;
-        assert!((slot.mb_per_s() - mbps).abs() < 0.01);
-        assert_eq!(slot.shards.len(), 2);
-        assert_eq!(slot.shards[0].docs, 500);
-    }
-
-    #[test]
-    fn history_ring_holds_the_last_window() {
-        let ring = HistoryRing::new();
-        for i in 0..(HISTORY_SLOTS as u64 + 5) {
-            ring.push(HistorySlot {
-                ts_ns: i,
-                ..HistorySlot::default()
-            });
-        }
-        let slots = ring.dump();
-        assert_eq!(slots.len(), HISTORY_SLOTS);
-        assert_eq!(slots[0].ts_ns, 5);
-        assert_eq!(slots.last().unwrap().ts_ns, HISTORY_SLOTS as u64 + 4);
-        // Dumps copy: a second watcher sees the same window.
-        assert_eq!(ring.dump().len(), HISTORY_SLOTS);
     }
 
     #[test]

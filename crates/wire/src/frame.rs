@@ -24,7 +24,7 @@
 //! | `0x04` | →engine | QueryResult | empty |
 //! | `0x05` | →engine | Reset | empty |
 //! | `0x06` | →engine | CloseChannel | empty |
-//! | `0x07` | →engine | GetStats | `detail: u8` (0, 1 = counters; ≥ 2 = + spans, history) |
+//! | `0x07` | →engine | GetStats | `detail: u8` (0, 1 = counters; ≥ 2 = + spans) |
 //! | `0x81` | engine→ | Hello | `count: u16`, then per language `len: u16` + UTF-8 name |
 //! | `0x82` | engine→ | Result | `valid: u8`, `checksum: u64`, `total_ngrams: u64`, `p: u16`, `p × count: u64` |
 //! | `0x83` | engine→ | Error | `code: u8`, `len: u16` + UTF-8 detail |
@@ -362,7 +362,7 @@ pub enum WireCommand {
         /// Snapshot detail: 0 and 1 = counters, histograms and the shard
         /// table (1 once also carried event-ring dumps, now retired);
         /// 2 or more adds the trace plane — the server *drains* its kept
-        /// spans (each is reported once) and copies its history ring.
+        /// spans (each is reported once).
         detail: u8,
     },
 }

@@ -8,7 +8,7 @@
 //! lcbloom serve    --profiles FILE.lcp [--addr A] [--workers N] [--reactors N]
 //!                  [--max-connections N] [--max-channels N]
 //!                  [--outbound-high-water BYTES] [--slow-consumer-ms N]
-//!                  [--watchdog-ms N] [--stats-secs N] [--drain-deadline-ms N]
+//!                  [--watchdog-ms N] [--stats-interval N] [--drain-deadline-ms N]
 //!                  [--chaos-seed S] [--chaos-rate R]
 //! lcbloom query    --addr A [--channels N] [--window W] [--timeout-ms N] FILE...
 //! lcbloom demo
@@ -35,9 +35,11 @@
 use lcbloom::fpga::resources::ClassifierConfig;
 use lcbloom::prelude::*;
 use lcbloom::profile_store::ProfileStore;
+use lcbloom::service::{MetricsSnapshot, StatsDelta};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,10 +83,9 @@ fn print_usage() {
          \x20 lcbloom serve    --profiles FILE.lcp [--addr HOST:PORT] [--workers N]\n\
          \x20                  [--reactors N] [--max-connections N] [--max-channels N]\n\
          \x20                  [--outbound-high-water BYTES] [--slow-consumer-ms N]\n\
-         \x20                  [--watchdog-ms N] [--stats-secs N] [--stats-interval N]\n\
+         \x20                  [--watchdog-ms N] [--stats-interval N]\n\
          \x20                  [--m KBITS] [--k K] [--subsample S]\n\
          \x20                  [--trace-sample N] [--trace-slow-us T]\n\
-         \x20                  [--history-interval-ms N]\n\
          \x20                  [--drain-deadline-ms N] [--chaos-seed S] [--chaos-rate R]\n\
          \x20                  [--force-scalar]\n\
          \x20 lcbloom query    --addr HOST:PORT [--channels N] [--window W]\n\
@@ -98,11 +99,12 @@ fn print_usage() {
          `train` expects one directory per language, named by its code (en, fr, ...),\n\
          each containing plain-text files. `classify` and `query` accept `-` for stdin.\n\
          `stats` asks a live server for its metrics snapshot over the wire (--watch\n\
-         repeats every SECS, with server-side rates from the history ring). `trace`\n\
-         drains the server's per-document spans (faulted documents always; sampled\n\
-         and slow ones with serve --trace-sample N / --trace-slow-us T) and renders\n\
-         a stage waterfall per span; --follow polls until interrupted. `top`\n\
-         renders sparkline rate tables from the server's history ring.\n\
+         repeats every SECS and prints the rates between the last two snapshots).\n\
+         `trace` drains the server's per-document spans (faulted documents always;\n\
+         sampled and slow ones with serve --trace-sample N / --trace-slow-us T) and\n\
+         renders a stage waterfall per span; --follow polls until interrupted. `top`\n\
+         renders sparkline rate tables from the snapshots it polls (--once waits\n\
+         one interval for two). `stats` and `top` leave the spans to `trace`.\n\
          `--timing` prints p50/p95/p99 in the server's latency buckets; for `query`\n\
          the times come from server-side sampled spans, so the batch stays pipelined.\n\
          `simd` reports this host's CPU features and which probe path a classifier\n\
@@ -347,7 +349,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         } else {
             Box::new(std::fs::File::open(f).map_err(|e| format!("reading {f}: {e}"))?)
         };
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         loop {
             let n = reader
                 .read(&mut buf)
@@ -389,14 +391,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "outbound-high-water",
             "slow-consumer-ms",
             "watchdog-ms",
-            "stats-secs",
             "stats-interval",
             "drain-deadline-ms",
             "chaos-seed",
             "chaos-rate",
             "trace-sample",
             "trace-slow-us",
-            "history-interval-ms",
         ],
         &["force-scalar"],
     )?;
@@ -451,20 +451,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // documents are always captured.
         trace_sample: parse_num(&flags, "trace-sample", defaults.trace_sample)?,
         trace_slow_us: parse_num(&flags, "trace-slow-us", defaults.trace_slow_us)?,
-        history_interval: std::time::Duration::from_millis(parse_num(
-            &flags,
-            "history-interval-ms",
-            defaults.history_interval.as_millis() as u64,
-        )?),
         ..defaults
     };
-    // --stats-interval is the canonical name; --stats-secs kept as the
-    // historical spelling.
-    let stats_secs = parse_num(
-        &flags,
-        "stats-interval",
-        parse_num(&flags, "stats-secs", 10u64)?,
-    )?;
+    let stats_secs = parse_num(&flags, "stats-interval", 10u64)?;
     let drain_deadline =
         std::time::Duration::from_millis(parse_num(&flags, "drain-deadline-ms", 5000u64)?);
     // Each connection costs two fds (stream + write-through dup); make the
@@ -504,7 +493,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     lcbloom::service::install_termination_handler()
         .map_err(|e| format!("installing termination handler: {e}"))?;
     let metrics = std::sync::Arc::clone(handle.metrics());
-    let mut last_stats = std::time::Instant::now();
+    let mut last_stats = Instant::now();
     loop {
         std::thread::sleep(std::time::Duration::from_millis(100));
         if lcbloom::service::termination_requested() {
@@ -514,7 +503,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             return Ok(());
         }
         if last_stats.elapsed() >= std::time::Duration::from_secs(stats_secs.max(1)) {
-            last_stats = std::time::Instant::now();
+            last_stats = Instant::now();
             eprintln!("{}", metrics.snapshot());
         }
     }
@@ -728,31 +717,40 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("127.0.0.1:4004");
     let watch = parse_num(&flags, "watch", 0u64)?;
-    // --watch asks for detail 2 so each refresh carries the server's own
-    // history ring: the rates printed are server-computed over measured
-    // intervals, not client-side deltas between polls.
-    let detail = if watch > 0 { 2 } else { 0 };
     // A dedicated connection: GetStats must not interleave with document
     // responses, and a fresh connection has none in flight by construction.
     let mut client =
         ClassifyClient::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    let mut prev: Option<(MetricsSnapshot, Instant)> = None;
     loop {
-        let snap = client
-            .stats(detail)
-            .map_err(|e| format!("fetching stats from {addr}: {e}"))?;
+        let (snap, at) = poll_stats(&mut client, addr)?;
         print_snapshot(&snap);
+        // --watch: the rates over the interval this loop measured between
+        // its last two reads.
+        if let Some((p, p_at)) = &prev {
+            println!("{}", rate_line(&StatsDelta::delta(p, &snap, at - *p_at)));
+        }
         if watch == 0 {
             return Ok(());
         }
+        prev = Some((snap, at));
         std::thread::sleep(std::time::Duration::from_secs(watch.max(1)));
         println!();
     }
 }
 
+/// A counters-only snapshot (detail 0 drains no spans) and when it was read.
+fn poll_stats(c: &mut ClassifyClient, addr: &str) -> Result<(MetricsSnapshot, Instant), String> {
+    let snap = c
+        .stats(0)
+        .map_err(|e| format!("fetching stats from {addr}: {e}"))?;
+    Ok((snap, Instant::now()))
+}
+
 /// Print a wire-fetched snapshot: the compact one-line summary first, then
 /// one greppable `key: value` line per aggregate and one line per shard /
 /// stage (what the CI smoke steps and shell pipelines parse).
-fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
+fn print_snapshot(snap: &MetricsSnapshot) {
     println!("{snap}");
     println!("documents: {}", snap.documents);
     if !snap.simd.is_empty() {
@@ -809,37 +807,26 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
     if !wake_dist.is_empty() {
         println!("events-per-wake: {}", wake_dist.join(" "));
     }
-    // Server-computed rates from the history ring (detail 2): the last few
-    // slots, newest last, each a measured-interval delta.
-    for slot in snap.history.iter().rev().take(5).rev() {
-        println!("{}", history_line(slot));
-    }
-    if !snap.spans.is_empty() {
-        println!(
-            "spans: {} span(s) drained (render with `lcbloom trace`)",
-            snap.spans.len()
-        );
-    }
 }
 
-/// One greppable line per history slot: server-computed rates plus
-/// per-shard busy fractions and queue depths.
-fn history_line(slot: &lcbloom::service::HistorySlot) -> String {
-    let busy: Vec<String> = (0..slot.shards.len())
-        .map(|i| format!("{:.2}", slot.busy_frac(i)))
+/// One greppable line of rates between two snapshots, plus per-shard
+/// busy fractions and queue depths.
+fn rate_line(delta: &StatsDelta) -> String {
+    let busy: Vec<String> = (0..delta.shards.len())
+        .map(|i| format!("{:.2}", delta.busy_frac(i)))
         .collect();
-    let depth: Vec<String> = slot
+    let depth: Vec<String> = delta
         .shards
         .iter()
         .map(|s| s.queue_depth.to_string())
         .collect();
     format!(
-        "history +{:>9.3}s: docs/s={:.1} mb/s={:.2} errors={} faults={} busy=[{}] depth=[{}]",
-        slot.ts_ns as f64 / 1e9,
-        slot.docs_per_s(),
-        slot.mb_per_s(),
-        slot.errors,
-        slot.faults,
+        "rates over {:.3}s: docs/s={:.1} mb/s={:.2} errors={} faults={} busy=[{}] depth=[{}]",
+        delta.interval.as_secs_f64(),
+        delta.docs_per_s(),
+        delta.mb_per_s(),
+        delta.errors,
+        delta.faults,
         busy.join(","),
         depth.join(",")
     )
@@ -956,55 +943,56 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     let interval = parse_num(&flags, "interval", 2u64)?.max(1);
     let mut client =
         ClassifyClient::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    // Each interval's rates are the delta between this loop's own two
+    // counters-only reads; the newest 60 intervals fit a terminal row.
+    let mut window = std::collections::VecDeque::with_capacity(60);
+    let (mut prev, mut prev_at) = poll_stats(&mut client, addr)?;
     loop {
-        let snap = client
-            .stats(2)
-            .map_err(|e| format!("fetching history from {addr}: {e}"))?;
+        std::thread::sleep(std::time::Duration::from_secs(interval));
+        let (snap, at) = poll_stats(&mut client, addr)?;
+        if window.len() == 60 {
+            window.pop_front();
+        }
+        window.push_back(StatsDelta::delta(&prev, &snap, at - prev_at));
+        (prev, prev_at) = (snap, at);
         if !once {
             // Repaint in place like top(1).
             print!("\x1b[2J\x1b[H");
         }
-        // The newest 60 slots fit a terminal row; the ring holds 120.
-        let h = &snap.history[snap.history.len().saturating_sub(60)..];
         println!(
-            "lcbloom top — {addr} — {} history slot(s), newest right",
-            h.len()
+            "lcbloom top — {addr} — {} interval(s) of {interval}s, newest right",
+            window.len()
         );
-        match h.last() {
-            None => println!("(no history yet; the server samples every --history-interval-ms)"),
-            Some(last) => {
-                let docs: Vec<f64> = h.iter().map(|s| s.docs_per_s()).collect();
-                let mbs: Vec<f64> = h.iter().map(|s| s.mb_per_s()).collect();
-                let fmax = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
-                println!(
-                    "{:<8} {}  now {:>8.1}  max {:>8.1}",
-                    "docs/s",
-                    sparkline(&docs),
-                    last.docs_per_s(),
-                    fmax(&docs)
-                );
-                println!(
-                    "{:<8} {}  now {:>8.2}  max {:>8.2}",
-                    "MB/s",
-                    sparkline(&mbs),
-                    last.mb_per_s(),
-                    fmax(&mbs)
-                );
-                for i in 0..last.shards.len() {
-                    let busy: Vec<f64> = h.iter().map(|s| s.busy_frac(i)).collect();
-                    println!(
-                        "shard[{i}]  {}  busy {:>5.2}  depth {}",
-                        sparkline(&busy),
-                        last.busy_frac(i),
-                        last.shards[i].queue_depth
-                    );
-                }
-            }
+        let last = window.back().expect("an interval was just pushed");
+        let docs: Vec<f64> = window.iter().map(|d| d.docs_per_s()).collect();
+        let mbs: Vec<f64> = window.iter().map(|d| d.mb_per_s()).collect();
+        let fmax = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
+        println!(
+            "{:<8} {}  now {:>8.1}  max {:>8.1}",
+            "docs/s",
+            sparkline(&docs),
+            last.docs_per_s(),
+            fmax(&docs)
+        );
+        println!(
+            "{:<8} {}  now {:>8.2}  max {:>8.2}",
+            "MB/s",
+            sparkline(&mbs),
+            last.mb_per_s(),
+            fmax(&mbs)
+        );
+        for (i, shard) in last.shards.iter().enumerate() {
+            let busy: Vec<f64> = window.iter().map(|d| d.busy_frac(i)).collect();
+            println!(
+                "shard[{i}]  {}  busy {:>5.2}  depth {}",
+                sparkline(&busy),
+                last.busy_frac(i),
+                shard.queue_depth
+            );
         }
         if once {
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_secs(interval));
     }
 }
 

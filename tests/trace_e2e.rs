@@ -1,18 +1,19 @@
-//! End-to-end tests of the trace-span and history planes: spans sampled
-//! server-side must come back over the wire with the stage invariant
-//! intact, client-supplied TraceContext ids must be adopted verbatim,
-//! chaos-faulted documents must be force-sampled with the fault site
-//! named, the history ring must carry server-computed rates — and none of
-//! it may leak into what a v1 / `detail<=1` decoder sees.
+//! End-to-end tests of the trace-span plane and of client-side rates:
+//! spans sampled server-side must come back over the wire with the stage
+//! invariant intact, client-supplied TraceContext ids must be adopted
+//! verbatim, chaos-faulted documents must be force-sampled with the fault
+//! site named, two counter snapshots must give a watcher its rates — and
+//! none of the spans may leak into, or be drained by, what a v1 /
+//! `detail<=1` reader sees.
 
 use lcbloom::prelude::*;
 use lcbloom::service::{
-    fault_name, serve, ChaosConfig, ClientError, FaultPlan, FaultSite, ServiceConfig,
+    fault_name, serve, ChaosConfig, ClientError, FaultPlan, FaultSite, ServiceConfig, StatsDelta,
     FAULT_WORKER_DELAY, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_SAMPLED,
 };
 use lcbloom::wire::ErrorCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn classifier() -> Arc<MultiLanguageClassifier> {
     static CLASSIFIER: std::sync::OnceLock<Arc<MultiLanguageClassifier>> =
@@ -44,17 +45,6 @@ fn test_docs() -> Vec<Vec<u8>> {
 
 fn start(config: ServiceConfig) -> lcbloom::service::ServerHandle {
     serve(classifier(), "127.0.0.1:0", config).expect("bind localhost")
-}
-
-/// Poll the server's history ring (`dump` copies it, so polling drains
-/// nothing) until the sampler has cut `more` slots past this call, for up
-/// to 5 s. The caller's assertions report a sampler that never got there.
-fn wait_for_history_slots(server: &lcbloom::service::ServerHandle, more: usize) {
-    let want = server.history().dump().len() + more;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.history().dump().len() < want && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 #[test]
@@ -270,54 +260,77 @@ fn worker_panic_span_carries_the_documents_client_trace_id() {
 }
 
 #[test]
-fn history_ring_carries_server_computed_rates() {
+fn counter_snapshots_give_rates_over_the_readers_interval() {
+    // What `lcbloom top` and `stats --watch` do: two counters-only reads
+    // and the interval this side measured between them. The counters are
+    // exact once each document's answer is back, so nothing waits on a
+    // clock.
     let server = start(ServiceConfig {
         workers: 2,
-        history_interval: Duration::from_millis(40),
         ..ServiceConfig::default()
     });
     let docs = test_docs();
     let mut client = ClassifyClient::connect(server.addr()).expect("connect");
-    let sent: usize = 10;
-    for doc in docs.iter().take(sent) {
+    // Traffic before the first read must not show in the delta.
+    client.classify(&docs[0]).expect("classify");
+    let before = client.stats(0).expect("first snapshot");
+    let before_at = Instant::now();
+    let sent = 10;
+    for doc in docs.iter().skip(1).take(sent) {
         client.classify(doc).expect("classify");
     }
-    // Let the sampler cut at least two slots past the traffic: the first
-    // may have read its counters before the last document was counted.
-    wait_for_history_slots(&server, 2);
-
-    let snap = client.stats(2).expect("stats detail=2");
-    assert!(
-        snap.history.len() >= 2,
-        "sampler cut {} slot(s), wanted >= 2",
-        snap.history.len()
+    let after = client.stats(0).expect("second snapshot");
+    let delta = StatsDelta::delta(&before, &after, before_at.elapsed());
+    assert_eq!(delta.docs, sent as u64);
+    let bytes: usize = docs.iter().skip(1).take(sent).map(Vec::len).sum();
+    assert_eq!(delta.doc_bytes, bytes as u64);
+    assert_eq!(delta.shards.len(), 2);
+    assert_eq!(
+        delta.shards.iter().map(|s| s.docs).sum::<u64>(),
+        sent as u64,
+        "shard deltas must sum to the load"
     );
-    let docs_seen: u64 = snap.history.iter().map(|s| s.docs).sum();
-    assert_eq!(docs_seen, sent as u64, "slot deltas must sum to the load");
-    let mut prev_ts = 0u64;
-    for slot in &snap.history {
-        assert!(slot.ts_ns > prev_ts, "slot timestamps must advance");
-        prev_ts = slot.ts_ns;
-        assert!(slot.interval_us > 0, "measured interval must be positive");
-        assert_eq!(slot.shards.len(), 2);
-        if slot.docs > 0 {
-            assert!(slot.docs_per_s() > 0.0);
-            assert!(slot.mb_per_s() > 0.0);
+    assert!(delta.docs_per_s() > 0.0);
+    assert!(delta.mb_per_s() > 0.0);
+    assert_eq!((delta.errors, delta.faults), (0, 0));
+    server.shutdown();
+}
+
+#[test]
+fn watcher_polls_leave_every_span_for_the_trace_drain() {
+    // A dashboard polling between documents, as `top` and `stats
+    // --watch` do, must not take spans away from a `trace --follow`.
+    let server = start(ServiceConfig {
+        workers: 2,
+        trace_sample: 1,
+        ..ServiceConfig::default()
+    });
+    let docs = test_docs();
+    let mut client = ClassifyClient::connect(server.addr()).expect("connect");
+    let mut watcher = ClassifyClient::connect(server.addr()).expect("connect watcher");
+    let sent = 6;
+    for doc in docs.iter().take(sent) {
+        client.classify(doc).expect("classify");
+        for _ in 0..3 {
+            let snap = watcher.stats(0).expect("watcher poll");
+            assert!(snap.spans.is_empty(), "a detail-0 poll carried spans");
         }
     }
+    // The documents' own connection drains, so every span has finished.
+    let snap = client.stats(2).expect("stats detail=2");
+    assert_eq!(snap.spans.len(), sent, "watcher polls drained spans");
     server.shutdown();
 }
 
 #[test]
 fn detail_at_most_one_stays_clean_for_v1_decoders() {
-    // A server with spans captured and history cut must answer
-    // `GetStats(detail<=1)` with neither section — the PR-7 schema,
-    // bit-compatible for old decoders — and the withheld spans must stay
-    // buffered, not be silently drained.
+    // A server with spans captured must answer `GetStats(detail<=1)`
+    // without them — the PR-7 schema, bit-compatible for old decoders —
+    // and the withheld spans must stay buffered, not be silently
+    // drained.
     let server = start(ServiceConfig {
         workers: 2,
         trace_sample: 1,
-        history_interval: Duration::from_millis(40),
         ..ServiceConfig::default()
     });
     let docs = test_docs();
@@ -325,7 +338,6 @@ fn detail_at_most_one_stays_clean_for_v1_decoders() {
     for doc in docs.iter().take(3) {
         client.classify(doc).expect("classify");
     }
-    wait_for_history_slots(&server, 1);
 
     for detail in [0u8, 1] {
         let snap = client.stats(detail).expect("low-detail stats");
@@ -333,15 +345,10 @@ fn detail_at_most_one_stays_clean_for_v1_decoders() {
             snap.spans.is_empty(),
             "detail={detail} leaked spans to a v1-era decoder"
         );
-        assert!(
-            snap.history.is_empty(),
-            "detail={detail} leaked history to a v1-era decoder"
-        );
         assert_eq!(snap.documents, 3);
     }
     // Low-detail reads did not consume the span plane.
     let snap = client.stats(2).expect("stats detail=2");
     assert_eq!(snap.spans.len(), 3, "spans must survive low-detail reads");
-    assert!(!snap.history.is_empty());
     server.shutdown();
 }
