@@ -62,7 +62,10 @@ pub struct ShardCounters {
     /// Nanoseconds the shard thread spent applying commands (busy time;
     /// compare across shards to see the static-hash imbalance).
     pub busy_ns: AtomicU64,
-    /// Jobs currently sitting in the shard's queue.
+    /// Jobs currently sitting in the shard's queue, as a two's-complement
+    /// signed count: the reactor counts a job in after its send succeeded,
+    /// so the shard thread may count it out first and take the gauge to
+    /// -1 for a moment. Read it through a snapshot, which clamps at 0.
     pub queue_depth: AtomicU64,
     /// Deepest the queue ever got.
     pub queue_depth_peak: AtomicU64,
@@ -77,24 +80,29 @@ impl ShardCounters {
     /// Note a job entering the shard queue.
     pub fn note_enqueued(&self) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        let depth = self
+            .queue_depth
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1) as i64;
+        if depth > 0 {
+            self.queue_depth_peak
+                .fetch_max(depth as u64, Ordering::Relaxed);
+        }
     }
 
     /// Note a job leaving the shard queue (the shard thread picked it up).
+    /// It may run before the job's [`Self::note_enqueued`]; the signed
+    /// gauge then dips to -1 and the late increment brings it back, so
+    /// enqueues and dequeues stay balanced whatever their order.
     pub fn note_dequeued(&self) {
-        // Enqueue/dequeue are balanced, but a racing snapshot must never
-        // see a wrapped gauge; repair the rare transient underflow.
-        if self.queue_depth.fetch_sub(1, Ordering::Relaxed) == 0 {
-            self.queue_depth.fetch_add(1, Ordering::Relaxed);
-        }
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> ShardStats {
         ShardStats {
             docs: self.docs.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_depth: (self.queue_depth.load(Ordering::Relaxed) as i64).max(0) as u64,
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             parked: self.parked.load(Ordering::Relaxed),
             jobs: self.jobs.load(Ordering::Relaxed),
@@ -1244,11 +1252,19 @@ mod tests {
         assert_eq!(snap.shards[0].jobs, 3);
         assert_eq!(snap.shards[0].queue_depth, 2);
         assert_eq!(snap.shards[0].queue_depth_peak, 3);
-        // Underflow repair: an unbalanced dequeue never wraps the gauge.
-        s.note_dequeued();
         s.note_dequeued();
         s.note_dequeued();
         assert_eq!(m.snapshot().shards[0].queue_depth, 0);
+        // A dequeue counted before its enqueue (the shard thread won the
+        // race with the reactor) neither wraps the gauge nor leaves it
+        // off by one once the enqueue lands.
+        s.note_dequeued();
+        assert_eq!(m.snapshot().shards[0].queue_depth, 0);
+        s.note_enqueued();
+        assert_eq!(m.snapshot().shards[0].queue_depth, 0);
+        assert_eq!(m.snapshot().shards[0].queue_depth_peak, 3);
+        s.note_enqueued();
+        assert_eq!(m.snapshot().shards[0].queue_depth, 1);
         assert!(m.shard(1).is_none());
     }
 
