@@ -1,5 +1,5 @@
-//! The AVX2 probe engine: 8 keys hash→gather→AND-reduce→count per
-//! iteration.
+//! The AVX2 probe engine: 32 keys hashed per call, then 8 keys
+//! gather→AND-reduce→count per iteration.
 //!
 //! # Shape
 //!
@@ -8,14 +8,16 @@
 //! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
 //! has a vector fast path: keys ≤ 32 bits and `m ≤ 64 Kbit`, at any `p`.
 //! The engine takes the key stream in batches of up to 64 keys (see
-//! [Staging](#staging)) and probes it in 8-key blocks: the packed-word H3
-//! evaluator ([`lc_hash::simd::hash8`], the same table the
-//! scalar loop reads) produces 8 addresses per hash function, one
-//! `vpgatherdd` per function and slice pulls the 8 language masks
+//! [Staging](#staging)) and probes it in 8-key blocks. The nibble-lookup
+//! H3 evaluator ([`lc_hash::simd::hash32`], its tables built with the
+//! engine) hashes four blocks per call, 32 keys, into 8 addresses per
+//! block and hash function; a batch's last 1–3 blocks are padded with
+//! zero blocks to four, and only the real blocks are probed. Per block,
+//! one `vpgatherdd` per function and slice pulls the 8 language masks
 //! straight from the bank's rows, the AND-reduce across `k` runs in
-//! registers, and so does the count (see [Counting](#counting)).
-//! Leftover keys take the scalar loop's [`crate::bank::probe`] and
-//! [`crate::bank::Tally`].
+//! registers, and so does the count (see [Counting](#counting)). The
+//! fewer than 8 keys left in a batch take the scalar loop's
+//! [`crate::bank::probe`] and [`crate::bank::Tally`].
 //!
 //! Keys wider than 32 bits and m > 64 Kbit keep the scalar const-`K`
 //! loop, and [`crate::FilterBank::simd_level`] honestly reports `scalar`.
@@ -77,10 +79,10 @@
 //! count reads only the entry's own bytes, the gather does not mask off
 //! the bytes above it.
 //!
-//! Together with the dword gather for the last H3 word (see
-//! [`lc_hash::simd::hash8`]), this took `inproc-wide20` (`u32` rows,
-//! `k = 6`) from a median 99.1 MB/s (IQR 98.4–100.1) to 131.3 over 10
-//! alternating 30 s pairs on a 2-core AVX2 host, winning all 10, and
+//! Together with a dword gather for the last word of the H3 table that
+//! the hash then read from memory, this took `inproc-wide20` (`u32`
+//! rows, `k = 6`) from a median 99.1 MB/s (IQR 98.4–100.1) to 131.3 over
+//! 10 alternating 30 s pairs on a 2-core AVX2 host, winning all 10, and
 //! `inproc-paper8` (`u8` rows) from 184.3 to 207.8 over 5 pairs.
 //!
 //! # Equivalence
@@ -131,14 +133,18 @@ mod x86 {
     use super::{FusedEvaluatorK, KeySource, MaskWord, Stride};
     use crate::bank::{probe, Tally};
     use core::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_i32gather_epi32, _mm256_loadu_si256,
-        _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_setr_epi64x,
-        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_storeu_si256, _mm256_sub_epi8,
+        __m256i, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_i32gather_epi32, _mm256_mullo_epi32,
+        _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_storeu_si256, _mm256_sub_epi8,
     };
+    use lc_hash::simd::{hash32, NibbleTables};
     use lc_hash::SimdLevel;
 
     /// Keys per block: one AVX2 register of 32-bit keys.
     const LANES: usize = 8;
+
+    /// Blocks hashed per [`hash32`] call: 32 keys.
+    const GROUP: usize = 4;
 
     /// Byte-counter registers per slice for the widest count (`u32`
     /// words): two per mask byte.
@@ -154,6 +160,8 @@ mod x86 {
     pub(crate) struct Avx2Probe {
         /// Vector length `m`: every gathered address is below it.
         m: usize,
+        /// The bank's H3 family as `vpshufb` nibble tables.
+        tables: NibbleTables,
     }
 
     impl Avx2Probe {
@@ -163,6 +171,7 @@ mod x86 {
             let shape = bank.hashes().avx2_eligible();
             (SimdLevel::cpu_has_avx2() && shape).then(|| Self {
                 m: bank.params().m_bits(),
+                tables: NibbleTables::new(bank.hashes()),
             })
         }
 
@@ -191,11 +200,13 @@ mod x86 {
                 words <= i32::MAX as usize && rows.iter().all(|r| r.len() >= words + W::GATHER_PAD),
                 "mask rows must carry their gather padding and fit i32 gather lanes"
             );
+            let tally = Tally::new(counts, stride);
             // safety: this engine is only built after the AVX2 cpuid check;
             // the feature cannot disappear at runtime.
-            let mut sink = unsafe { Sink::new(rows, eval, Tally::new(counts, stride), stride) };
-            // Truncation to u32 is exact: `hash8` masks every lane to the
-            // family's key width, which eligibility keeps within u32.
+            let mut sink = unsafe { Sink::new(rows, &self.tables, eval, tally, stride) };
+            // The batches' truncation to u32 is exact: the hash ignores key
+            // bits above the family's width, which eligibility keeps within
+            // u32.
             src.for_each_batch(|keys| {
                 let (blocks, rest) = keys.as_chunks::<LANES>();
                 // safety: as above, AVX2 was detected when the engine was
@@ -222,9 +233,10 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     fn gather<W: MaskWord>(row: &[W], g: usize, addrs: __m256i) -> __m256i {
         let base = row.as_ptr().wrapping_add(g).cast::<i32>();
-        // safety: every addr lane is a·G with a < m (H3 output width) and
-        // g < G, and `Avx2Probe::accumulate` asserted that m · G fits an
-        // i32 lane (so a·G did not wrap) and that the row holds
+        // safety: every addr lane is a·G with a < m (`hash32` XORs H3
+        // entries, each below 2^d = m) and g < G, and
+        // `Avx2Probe::accumulate` asserted that m · G fits an i32 lane
+        // (so a·G did not wrap) and that the row holds
         // m · G + W::GATHER_PAD entries (the bank's padding invariant), so
         // each 4-byte read at byte offset (a·G + g) · W::BITS / 8 stays
         // inside the row.
@@ -286,6 +298,7 @@ mod x86 {
     /// ([`count`]), the leftover keys feed the [`Tally`].
     struct Sink<'a, const K: usize, W, D: Stride> {
         rows: &'a [&'a [W]; K],
+        tables: &'a NibbleTables,
         eval: FusedEvaluatorK<'a, K>,
         tally: Tally<'a, D>,
         /// Per slice, the byte counters of [`count`]; `u8` and `u16` rows
@@ -299,12 +312,14 @@ mod x86 {
         #[target_feature(enable = "avx2")]
         fn new(
             rows: &'a [&'a [W]; K],
+            tables: &'a NibbleTables,
             eval: FusedEvaluatorK<'a, K>,
             tally: Tally<'a, D>,
             stride: D,
         ) -> Self {
             Self {
                 rows,
+                tables,
                 eval,
                 tally,
                 acc: stride.each([_mm256_setzero_si256(); ACCS]),
@@ -313,24 +328,35 @@ mod x86 {
         }
 
         /// Probe and count `blocks` back to back in one AVX2 call, with
-        /// [`Self::block`] inlined, so consecutive blocks overlap. A
+        /// [`Self::block`] inlined, so consecutive blocks overlap: each
+        /// run of [`GROUP`] blocks is hashed in one [`hash32`] call, then
+        /// probed block by block. The last 1–3 blocks are hashed with zero
+        /// blocks padding the group; only the real ones are probed. A
         /// one-slice bank's byte counters stay in registers for the whole
         /// call.
         #[target_feature(enable = "avx2")]
         fn batch(&mut self, blocks: &[[u32; LANES]]) {
             let mut acc = D::take(&mut self.acc);
-            for keys in blocks {
-                self.block(keys, acc.as_mut());
+            let (groups, tail) = blocks.as_chunks::<GROUP>();
+            let mut padded = [[0u32; LANES]; GROUP];
+            let last = if tail.is_empty() {
+                None
+            } else {
+                padded[..tail.len()].copy_from_slice(tail);
+                Some((&padded, tail.len()))
+            };
+            for (group, real) in groups.iter().map(|g| (g, GROUP)).chain(last) {
+                let addrs = hash32::<K>(self.tables, group);
+                for &a in &addrs[..real] {
+                    self.block(a, acc.as_mut());
+                }
             }
             self.acc = acc;
         }
 
         #[target_feature(enable = "avx2")]
         #[inline]
-        fn block(&mut self, keys: &[u32; LANES], acc: &mut [[__m256i; ACCS]]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let mut addrs = lc_hash::simd::hash8::<K>(&self.eval, kv);
+        fn block(&mut self, mut addrs: [__m256i; K], acc: &mut [[__m256i; ACCS]]) {
             // One set of byte counters per slice; a compile-time 1 for
             // [`One`](crate::bank::One).
             let slices = acc.len();

@@ -173,8 +173,9 @@ impl HashFunction for H3 {
 /// Besides the per-function evaluators (which [`Self::hash_one`] and
 /// [`Self::hash_all_into`] read, the reference for everything else) the
 /// family keeps one **packed** table for k-way evaluation, with one
-/// reader: the compile-time-`K` view from [`Self::fused_evaluator_k`],
-/// which the scalar evaluator and the AVX2 [`crate::simd::hash8`] share.
+/// reader: the compile-time-`K` scalar view from
+/// [`Self::fused_evaluator_k`]. (The AVX2 evaluator reads its own nibble
+/// tables, split from the per-function tables; see [`crate::simd`].)
 /// Entry `(byte_idx, value)` is
 /// `ceil(k · S / 64)` `u64` words that hold the `k` functions' byte-sliced
 /// entries as `S`-bit fields: function `i` sits in word `i / (64 / S)` at
@@ -325,14 +326,13 @@ impl H3Family {
 /// time. [`Self::hash_all_array`] has no per-key `K == k` assertion — the
 /// check happened once in [`H3Family::fused_evaluator_k`] — so a caller
 /// that folds input bytes and probes per emitted key keeps the whole
-/// evaluation branch-free. The AVX2 evaluator ([`crate::simd::hash8`])
-/// gathers from the same table.
+/// evaluation branch-free.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedEvaluatorK<'a, const K: usize> {
-    pub(crate) packed: &'a [u64],
-    pub(crate) n_bytes: usize,
-    pub(crate) key_mask: u64,
-    pub(crate) field_bits: usize,
+    packed: &'a [u64],
+    n_bytes: usize,
+    key_mask: u64,
+    field_bits: usize,
 }
 
 impl<const K: usize> FusedEvaluatorK<'_, K> {

@@ -13,7 +13,8 @@
 //! i.e. a GF(2)-linear map. In hardware this is a tree of XOR gates — one
 //! reason the family is "hardware friendly" and the reason the paper can
 //! compute `k` hashes per n-gram per clock. In software we evaluate it with
-//! byte-sliced lookup tables (8 input bits at a time), which is both fast and
+//! byte-sliced lookup tables (8 input bits at a time), and on the AVX2 path
+//! with nibble-sliced ones (4 bits at a time, 32 keys per lookup); both are
 //! bit-exact with the gate-level definition.
 //!
 //! The crate provides:
@@ -24,8 +25,12 @@
 //! * [`H3Family`] — `k` independent H3 functions drawn deterministically from
 //!   a seed (the paper programs one such family per Bloom filter), with one
 //!   packed-word table from which the compile-time-`k` scalar evaluator
-//!   ([`FusedEvaluatorK`]) and the AVX2 [`simd::hash8`] compute all `k`
-//!   addresses in one pass over the key,
+//!   ([`FusedEvaluatorK`]) computes all `k` addresses in one pass over the
+//!   key's bytes,
+//! * [`simd`] — runtime dispatch ([`SimdLevel`]) and, on x86-64, the AVX2
+//!   evaluator [`simd::hash32`], which computes all `k` addresses of 32 keys
+//!   at once from 4-bit-chunk tables held in registers
+//!   ([`simd::NibbleTables`]),
 //! * [`HashFunction`] — the key-to-address trait [`H3`] implements.
 //!
 //! H3 is GF(2)-linear: `H(x ^ y) == H(x) ^ H(y)` and `H(0) == 0`. Property

@@ -1,27 +1,20 @@
-//! Runtime SIMD dispatch and the AVX2 8-lane H3 evaluator.
+//! Runtime SIMD dispatch and the AVX2 32-key H3 evaluator.
 //!
-//! Both evaluators read the family's one packed table (see
-//! [`crate::H3Family`]): per key byte and value, `u64` words holding the
-//! `k` functions' entries as 16- or 32-bit fields. The scalar hot path
-//! ([`crate::FusedEvaluatorK`]) folds one key at a time, one word-wide XOR
-//! per (byte, word). [`hash8`] folds eight keys in lock-step: per
-//! (byte, word) two `vpgatherqq` pull the eight keys' words, the XOR fold
-//! runs in registers, and a shuffle transposes the 16-bit fields into one
-//! 8-lane address vector per function. A last word with at most two live
-//! fields (`k ∈ {1, 2, 5, 6}`) holds them in its low 32 bits, so one
-//! scale-8 `vpgatherdd` reads that half for all eight keys and an AND and
-//! a 16-bit shift split it: at the paper's compact `k = 6` that is 3
-//! gathers per key byte instead of 4. That is the software image of the
-//! paper's XOR-tree fan-out: the hardware evaluates `k` hashes of one gram
-//! per cycle, the vector unit evaluates `k` hashes of **eight** grams per
-//! iteration.
-//!
-//! The number of key bytes (1–4 for an eligible family; 3 for the paper's
-//! 20-bit 4-grams) is a constant of the gather loop: [`hash8`] matches on
-//! it once per block and runs a copy of the loop unrolled for that count,
-//! so no key byte costs a backward branch. Only that loop is copied per
-//! count; its callers stay generic over `k` alone, which keeps the code
-//! size (and its resident pages) close to one copy per `k`.
+//! H3 is GF(2)-linear, so a key's address is the XOR of one table entry
+//! per input chunk, whatever the chunk size. The scalar hot path
+//! ([`crate::FusedEvaluatorK`]) uses byte chunks: one packed-word XOR per
+//! key byte, one key at a time. [`hash32`] uses 4-bit chunks, so each
+//! table has 16 entries and fits a register: one `vpshufb` looks up the
+//! entry of 32 keys at once, the nibble lookup of Muła, Kurz and Lemire
+//! ("Faster population counts using AVX2 instructions", The Computer
+//! Journal 2018). [`NibbleTables`] holds, per nibble and function, one
+//! register for the address's low byte and one for its high byte (none
+//! when addresses fit a byte). At the paper's shape (`k = 4`, 20-bit
+//! 4-grams, 14-bit addresses) that is 5 nibbles × 4 functions × 2 bytes =
+//! 40 lookups per 32 keys, and no memory access besides the 40 table
+//! loads. That is the software image of the paper's XOR-tree fan-out: the
+//! hardware evaluates `k` hashes of one gram per cycle, the vector unit
+//! evaluates `k` hashes of **32** grams per call.
 //!
 //! Dispatch is decided once per classifier via [`SimdLevel::detect`]
 //! (`is_x86_feature_detected!("avx2")`, overridable with the
@@ -96,163 +89,160 @@ impl fmt::Display for SimdLevel {
 }
 
 impl H3Family {
-    /// Whether [`hash8`] can evaluate this family: keys fit the eight
-    /// `u32` lanes (`input_bits ≤ 32`) and the packed fields are 16 bits
-    /// wide (`output_bits ≤ 16`, vectors up to 64 Kbit).
+    /// Whether [`NibbleTables`] can be built for this family: keys fit
+    /// the eight `u32` lanes (`input_bits ≤ 32`, at most 8 nibbles) and
+    /// addresses fit two table bytes (`output_bits ≤ 16`, vectors up to
+    /// 64 Kbit).
     pub fn avx2_eligible(&self) -> bool {
         self.input_bits() <= 32 && self.output_bits() <= 16
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use avx2::hash8;
+pub use avx2::{hash32, NibbleTables};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use crate::FusedEvaluatorK;
+    use crate::H3Family;
     use core::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_cvtepu16_epi32,
-        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_i32gather_epi64,
-        _mm256_mullo_epi32, _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_setr_epi32,
-        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srl_epi32,
-        _mm256_srli_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
-        _mm_cvtsi32_si128,
+        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_set1_epi8, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_unpackhi_epi16,
+        _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpackhi_epi8, _mm256_unpacklo_epi16,
+        _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm256_unpacklo_epi8, _mm256_xor_si256,
     };
 
-    /// Evaluate all `K` functions on 8 keys at once: returns `K` vectors of
-    /// 8 addresses (lane `j` of vector `i` is `functions[i](keys[j])`).
-    /// Bit-exact with eight scalar [`FusedEvaluatorK`] evaluations when
-    /// the family is [`crate::H3Family::avx2_eligible`]; on any other
-    /// family every read still stays inside the packed table, but the
-    /// addresses are wrong.
+    /// An eligible family's H3 entries per 4-bit key chunk, as `vpshufb`
+    /// lookup registers: for nibble `n` and function `i`, one register of
+    /// the 16 entries' low bytes and one of their high bytes, each table
+    /// repeated in both 128-bit halves. Entry `v` is function `i`'s byte
+    /// table `n / 2` at `v << 4·(n % 2)`. Built once per classifier, for
+    /// the AVX2 engine only.
+    ///
+    /// Keys need no mask: the last nibble's entries ignore the bits above
+    /// the family's width (the byte tables do), and no nibble above it is
+    /// looked up.
+    #[derive(Clone, Debug)]
+    pub struct NibbleTables {
+        /// `[low, high]` byte tables of nibble `n`, function `i` at
+        /// `n · k + i`; `ceil(input_bits / 4)` nibbles.
+        luts: Box<[[__m256i; 2]]>,
+        k: usize,
+        /// Whether addresses need their high byte (`output_bits > 8`).
+        wide: bool,
+    }
+
+    impl NibbleTables {
+        /// Split `family`'s byte tables into nibble tables.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless the family is [`H3Family::avx2_eligible`].
+        pub fn new(family: &H3Family) -> Self {
+            assert!(
+                family.avx2_eligible(),
+                "nibble tables need ≤ 32-bit keys and ≤ 16-bit addresses"
+            );
+            let nibbles = family.input_bits().div_ceil(4) as usize;
+            let mut luts = Vec::with_capacity(nibbles * family.k());
+            for n in 0..nibbles {
+                for i in 0..family.k() {
+                    // By linearity, the hash of `v` alone in nibble n
+                    // is byte table n / 2 at `v << 4·(n % 2)`.
+                    let entry = |v: usize| family.hash_one(i, (v as u64 % 16) << (4 * n));
+                    let half = |shift: u32| {
+                        let bytes: [u8; 32] = std::array::from_fn(|v| (entry(v) >> shift) as u8);
+                        // safety: __m256i is 32 plain bytes with no
+                        // invalid bit patterns; this only moves them.
+                        unsafe { core::mem::transmute::<[u8; 32], __m256i>(bytes) }
+                    };
+                    luts.push([half(0), half(8)]);
+                }
+            }
+            Self {
+                luts: luts.into_boxed_slice(),
+                k: family.k(),
+                wide: family.output_bits() > 8,
+            }
+        }
+    }
+
+    /// Evaluate all `K` functions on 32 keys, four blocks of 8: lane `j`
+    /// of `out[b][i]` is `functions[i](blocks[b][j])`, bit-exact with
+    /// [`H3Family::hash_one`]: key bits above the family's width are
+    /// ignored. `K` must be the family's `k`.
+    ///
+    /// The keys are transposed into one register per key byte, holding
+    /// that byte of all 32 keys; an AND, or a 16-bit shift and an AND,
+    /// splits it into two nibbles. Per nibble and function, one `vpshufb`
+    /// looks up the address's low byte for all 32 keys and one its high
+    /// byte, and the lookups XOR together. Two rounds of unpacks against
+    /// zero turn each function's two byte registers back into four `u32`
+    /// address vectors in the keys' lane order.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (callers hold a dispatch decision made via
     /// [`super::SimdLevel`]/`is_x86_feature_detected!`).
     #[target_feature(enable = "avx2")]
-    pub fn hash8<const K: usize>(eval: &FusedEvaluatorK<'_, K>, keys: __m256i) -> [__m256i; K] {
-        debug_assert!(eval.field_bits == 16 && eval.key_mask <= u64::from(u32::MAX));
-        let (qwords, tail) = layout(K);
-        // Keys are ≤ 32 bits by eligibility, so masking in u32 lanes is exact.
-        let keys = _mm256_and_si256(keys, _mm256_set1_epi32(eval.key_mask as u32 as i32));
-        // One predictable branch per block on the key-byte count: only the
-        // gather fold is copied per count, so its byte loop unrolls. Every
-        // family has 1..=8 key bytes; `_` folds the first 4.
-        let (lo, hi, last) = match eval.n_bytes {
-            1 => fold::<K, 1>(eval, keys),
-            2 => fold::<K, 2>(eval, keys),
-            3 => fold::<K, 3>(eval, keys),
-            _ => fold::<K, 4>(eval, keys),
-        };
-        // Transpose each word's 8 × 4 u16 fields into 4 vectors of 8 u32
-        // addresses. Within each 128-bit lane, gather field f of both keys
-        // into dword f; then interleave the lanes so qword f holds field f
-        // of four keys.
-        let pair_fields = _mm256_setr_epi8(
-            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15, //
-            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15,
-        );
-        let quad_fields = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        let mut out = [_mm256_setzero_si256(); K];
-        for w in 0..qwords {
-            let l =
-                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(lo[w], pair_fields), quad_fields);
-            let h =
-                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(hi[w], pair_fields), quad_fields);
-            // f02 holds field 0 of the eight keys in its low half and field
-            // 2 in its high half; f13 fields 1 and 3.
-            let (f02, f13) = (_mm256_unpacklo_epi64(l, h), _mm256_unpackhi_epi64(l, h));
-            let fields = [
-                _mm256_castsi256_si128(f02),
-                _mm256_castsi256_si128(f13),
-                _mm256_extracti128_si256::<1>(f02),
-                _mm256_extracti128_si256::<1>(f13),
-            ];
-            for (o, &f) in out[4 * w..].iter_mut().zip(&fields) {
-                *o = _mm256_cvtepu16_epi32(f);
-            }
-        }
-        if tail {
-            // The tail word's fields: 0 in the low 16 bits of each lane,
-            // 1 (when K % 4 == 2) in the high 16.
-            let fields = [
-                _mm256_and_si256(last, _mm256_set1_epi32(0xFFFF)),
-                _mm256_srli_epi32::<16>(last),
-            ];
-            for (o, &f) in out[4 * qwords..].iter_mut().zip(&fields) {
-                *o = f;
-            }
-        }
-        out
-    }
-
-    /// The packed-word layout of a `k`-function entry, four 16-bit fields
-    /// per word: `(qwords, tail)`. A last word with at most two live
-    /// fields (`k % 4 ∈ {1, 2}`) is a `tail`: it keeps them in its low 32
-    /// bits, so one dword gather reads it for all eight keys. The other
-    /// `qwords` words take two qword gathers each.
-    const fn layout(k: usize) -> (usize, bool) {
-        let tail = matches!(k % 4, 1 | 2);
-        (k.div_ceil(4) - tail as usize, tail)
-    }
-
-    /// XOR-fold the packed entries of the low `N` bytes of the eight
-    /// (masked) `keys`: per qword, `lo` holds keys 0..4 and `hi` keys
-    /// 4..8, one u64 lane each; `last` holds the tail word's low halves,
-    /// one u32 lane per key. `N` is a constant, so the byte loop unrolls
-    /// into straight-line gathers.
-    #[target_feature(enable = "avx2")]
     #[inline]
-    fn fold<const K: usize, const N: usize>(
-        eval: &FusedEvaluatorK<'_, K>,
-        keys: __m256i,
-    ) -> ([__m256i; K], [__m256i; K], __m256i) {
-        let (qwords, tail) = layout(K);
-        // Four 16-bit fields per word.
-        let words = K.div_ceil(4);
-        let byte_mask = _mm256_set1_epi32(0xFF);
+    pub fn hash32<const K: usize>(t: &NibbleTables, blocks: &[[u32; 8]; 4]) -> [[__m256i; K]; 4] {
+        debug_assert_eq!(K, t.k, "const K must equal the tables' k");
+        // Per 128-bit half: dword j ← byte j of the half's four keys.
+        let bytes_first = _mm256_setr_epi8(
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+        );
+        let mut r = [_mm256_setzero_si256(); 4];
+        for (v, block) in r.iter_mut().zip(blocks) {
+            // safety: block is exactly 32 bytes; loadu needs no alignment.
+            let keys = unsafe { _mm256_loadu_si256(block.as_ptr().cast()) };
+            *v = _mm256_shuffle_epi8(keys, bytes_first);
+        }
+        // A 4 × 4 dword transpose per half: `bytes[j]` holds byte j of
+        // every key, lane 4h + q of block b at byte 4b + q of half h.
+        let (t0, t1) = (
+            _mm256_unpacklo_epi32(r[0], r[1]),
+            _mm256_unpackhi_epi32(r[0], r[1]),
+        );
+        let (t2, t3) = (
+            _mm256_unpacklo_epi32(r[2], r[3]),
+            _mm256_unpackhi_epi32(r[2], r[3]),
+        );
+        let bytes = [
+            _mm256_unpacklo_epi64(t0, t2),
+            _mm256_unpackhi_epi64(t0, t2),
+            _mm256_unpacklo_epi64(t1, t3),
+            _mm256_unpackhi_epi64(t1, t3),
+        ];
+        // Nibble n is the low (even n) or high half of byte n / 2.
+        let low4 = _mm256_set1_epi8(0x0F);
+        let mut nibbles = [_mm256_setzero_si256(); 8];
+        for (pair, &b) in nibbles.chunks_exact_mut(2).zip(&bytes) {
+            pair[0] = _mm256_and_si256(b, low4);
+            pair[1] = _mm256_and_si256(_mm256_srli_epi16::<4>(b), low4);
+        }
         let mut lo = [_mm256_setzero_si256(); K];
         let mut hi = [_mm256_setzero_si256(); K];
-        let mut last = _mm256_setzero_si256();
-        for byte_idx in 0..N {
-            let shift = _mm_cvtsi32_si128((8 * byte_idx) as i32);
-            let bytes = _mm256_and_si256(_mm256_srl_epi32(keys, shift), byte_mask);
-            let idx = _mm256_mullo_epi32(bytes, _mm256_set1_epi32(words as i32));
-            for w in 0..qwords {
-                let run = &eval.packed[byte_idx * 256 * words + w..];
-                // safety: each idx lane is byte · words with byte ≤ 255, so
-                // the read at run[idx] is word w of entry (byte_idx, byte),
-                // inside the table: a 16-bit-field table has exactly
-                // `words` words per entry and a 32-bit one more, and
-                // byte_idx < N ≤ n_bytes, the table's byte count (`hash8`
-                // picks N ≤ n_bytes).
-                let (l, h) = unsafe {
-                    (
-                        _mm256_i32gather_epi64::<8>(
-                            run.as_ptr().cast(),
-                            _mm256_castsi256_si128(idx),
-                        ),
-                        _mm256_i32gather_epi64::<8>(
-                            run.as_ptr().cast(),
-                            _mm256_extracti128_si256::<1>(idx),
-                        ),
-                    )
-                };
-                lo[w] = _mm256_xor_si256(lo[w], l);
-                hi[w] = _mm256_xor_si256(hi[w], h);
-            }
-            if tail {
-                let run = &eval.packed[byte_idx * 256 * words + qwords..];
-                // safety: scale 8 puts lane j's read at the same byte offset
-                // as the qword gathers above, run[idx] = word `qwords` (the
-                // last) of entry (byte_idx, byte), inside the table for the
-                // same reasons; the 4-byte read is that word's low half.
-                let d = unsafe { _mm256_i32gather_epi32::<8>(run.as_ptr().cast(), idx) };
-                last = _mm256_xor_si256(last, d);
+        for (&nib, row) in nibbles.iter().zip(t.luts.as_chunks::<K>().0) {
+            for (i, [tl, th]) in row.iter().enumerate() {
+                lo[i] = _mm256_xor_si256(lo[i], _mm256_shuffle_epi8(*tl, nib));
+                if t.wide {
+                    hi[i] = _mm256_xor_si256(hi[i], _mm256_shuffle_epi8(*th, nib));
+                }
             }
         }
-        (lo, hi, last)
+        // Byte 4b + q of a half becomes u16 word 4b + q (blocks 0 and 1
+        // in `w01`, 2 and 3 in `w23`), then dword q of block b.
+        let zero = _mm256_setzero_si256();
+        let mut out = [[zero; K]; 4];
+        for (i, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+            let (w01, w23) = (_mm256_unpacklo_epi8(l, h), _mm256_unpackhi_epi8(l, h));
+            out[0][i] = _mm256_unpacklo_epi16(w01, zero);
+            out[1][i] = _mm256_unpackhi_epi16(w01, zero);
+            out[2][i] = _mm256_unpacklo_epi16(w23, zero);
+            out[3][i] = _mm256_unpackhi_epi16(w23, zero);
+        }
+        out
     }
 }
 
@@ -283,64 +273,68 @@ mod tests {
         );
     }
 
+    /// Every lane of all four blocks of a 32-key group against
+    /// `hash_one`, for k = 1..=8, key widths from 1 to 8 nibbles (full and
+    /// partial last nibbles), and address widths with no high byte, a
+    /// partial one and a full one. The keys carry bits above the family's
+    /// width, which must not change an address.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn hash8_matches_scalar_on_avx2_hardware() {
-        use core::arch::x86_64::{_mm256_loadu_si256, _mm256_storeu_si256};
+    fn hash32_matches_hash_one_on_avx2_hardware() {
+        use core::arch::x86_64::_mm256_storeu_si256;
         if !SimdLevel::cpu_has_avx2() {
             return;
         }
-        // (k, input_bits, output_bits): one- and two-word entries, the
-        // paper's compact two-word shape (k = 6, m = 4 Kbit), the widest
-        // 16-bit field, every k whose last word takes the dword gather
-        // (1, 2, 5, 6), and every key-byte count hash8 unrolls for
-        // (1, 2, 3 and 4 bytes).
-        for (k, input_bits, output_bits, seed) in [
-            (4usize, 20u32, 14u32, 7u64),
-            (1, 5, 5, 8),
-            (8, 32, 14, 9),
-            (3, 17, 14, 10),
-            (6, 20, 12, 11),
-            (4, 20, 16, 12),
-            (2, 20, 16, 13),
-            (5, 24, 13, 14),
-            (3, 15, 12, 15),
-        ] {
-            let fam = H3Family::new(k, input_bits, output_bits, seed);
-            let keys: [u32; 8] = std::array::from_fn(|j| {
-                0x9E37_79B9u32
-                    .wrapping_mul(j as u32 + 1)
-                    .wrapping_add(seed as u32)
-            });
-            // safety: avx2 presence checked above; loadu/storeu tolerate
-            // any alignment and the arrays are exactly 32 bytes.
-            let got: [[u32; 8]; 8] = unsafe {
-                let kv = _mm256_loadu_si256(keys.as_ptr().cast());
-                let mut out = [[0u32; 8]; 8];
-                macro_rules! run {
-                    ($kk:literal) => {{
-                        let vecs = hash8::<$kk>(&fam.fused_evaluator_k::<$kk>(), kv);
-                        for (i, v) in vecs.iter().enumerate() {
-                            _mm256_storeu_si256(out[i].as_mut_ptr().cast(), *v);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for k in 1..=8usize {
+            for input_bits in [1u32, 4, 5, 8, 13, 20, 24, 32] {
+                for output_bits in [5u32, 8, 9, 12, 14, 16] {
+                    let seed = u64::from(100 * input_bits + output_bits) + 1000 * k as u64;
+                    let fam = H3Family::new(k, input_bits, output_bits, seed);
+                    let tables = NibbleTables::new(&fam);
+                    let keys: [[u32; 8]; 4] = std::array::from_fn(|_| {
+                        std::array::from_fn(|_| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            (state >> 32) as u32
+                        })
+                    });
+                    // safety: avx2 presence checked above; storeu tolerates
+                    // any alignment and each lane array is 32 bytes.
+                    let got: [[[u32; 8]; 8]; 4] = unsafe {
+                        let mut out = [[[0u32; 8]; 8]; 4];
+                        macro_rules! run {
+                            ($kk:literal) => {{
+                                for (o, vecs) in out.iter_mut().zip(hash32::<$kk>(&tables, &keys)) {
+                                    for (lanes, v) in o.iter_mut().zip(vecs) {
+                                        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
+                                    }
+                                }
+                            }};
                         }
-                    }};
-                }
-                match k {
-                    1 => run!(1),
-                    2 => run!(2),
-                    3 => run!(3),
-                    4 => run!(4),
-                    5 => run!(5),
-                    6 => run!(6),
-                    8 => run!(8),
-                    _ => unreachable!(),
-                }
-                out
-            };
-            for (j, &key) in keys.iter().enumerate() {
-                for (i, lanes) in got[..k].iter().enumerate() {
-                    let expect = fam.hash_one(i, u64::from(key));
-                    assert_eq!(lanes[j], expect, "k={k} d={output_bits} fn={i} lane={j}");
+                        match k {
+                            1 => run!(1),
+                            2 => run!(2),
+                            3 => run!(3),
+                            4 => run!(4),
+                            5 => run!(5),
+                            6 => run!(6),
+                            7 => run!(7),
+                            8 => run!(8),
+                            _ => unreachable!(),
+                        }
+                        out
+                    };
+                    for (b, block) in keys.iter().enumerate() {
+                        for (j, &key) in block.iter().enumerate() {
+                            for (i, lanes) in got[b][..k].iter().enumerate() {
+                                assert_eq!(
+                                    lanes[j],
+                                    fam.hash_one(i, u64::from(key)),
+                                    "k={k} b={input_bits} d={output_bits} fn={i} block={b} lane={j}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -316,6 +316,64 @@ fn streamed_lengths_and_chunkings_match_whole_buffer_and_naive() {
     }
 }
 
+/// The AVX2 engine hashes four 8-key blocks (32 keys) per call and pads
+/// a batch's last 1–3 whole blocks with zero keys, which it must never
+/// probe. Here the zero key is a real n-gram that every language matches:
+/// four white-space codes (any four non-letter bytes fold to key 0),
+/// trained into every language and frequent in the documents. A counted
+/// padding lane would add to every language's count. Key streams and
+/// documents whose last batch ends 1, 2 or 3 whole blocks (plus 0–7
+/// leftover keys) past its last full 32-key group classify exactly like
+/// the forced-scalar and naive paths, at every mask-row width.
+#[test]
+fn zero_key_padding_blocks_are_never_counted() {
+    let spaced = |lang: usize, bytes: usize| -> Vec<u8> {
+        let doc = synthetic_doc(lang, bytes).into_iter().enumerate();
+        doc.map(|(i, b)| if i % 16 < 5 { b' ' } else { b })
+            .collect()
+    };
+    let text = spaced(7, 200);
+    for p in [8usize, 20, 33] {
+        let mut b = ClassifierBuilder::new(NGramSpec::PAPER, 400);
+        for lang in 0..p {
+            b.add_language(format!("l{lang}"), [spaced(lang, 4000).as_slice()]);
+        }
+        let auto = b.build_bloom(BloomParams::from_kbits(1, 3), 1234);
+        let mut scalar = auto.clone();
+        scalar.set_force_scalar(true);
+        assert_eq!(
+            auto.bank().matching_languages(0),
+            (0..p).collect::<Vec<_>>(),
+            "every language must match the zero key"
+        );
+        for batches in 0..2 {
+            for blocks in [1usize, 2, 3, 5, 6, 7] {
+                for leftover in 0..8 {
+                    let keys = 64 * batches + 8 * blocks + leftover;
+                    // At n = 4 every byte after the first 3 ends a gram.
+                    let doc = &text[..keys + 3];
+                    let grams = NGramExtractor::new(auto.spec()).extract(doc);
+                    assert_eq!(grams.len(), keys);
+                    assert!(
+                        grams.iter().any(|g| g.value() == 0),
+                        "the zero key must occur"
+                    );
+                    let naive = auto.classify_ngrams_naive(&grams);
+                    for c in [&auto, &scalar] {
+                        let level = c.simd_level();
+                        assert_eq!(
+                            c.classify_ngrams(&grams),
+                            naive,
+                            "{level} keys p={p} n={keys}"
+                        );
+                        assert_eq!(c.classify(doc), naive, "{level} doc p={p} n={keys}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn bank_shape_reflects_language_count() {
     for (p, bits) in [
@@ -365,8 +423,8 @@ fn dispatch_selects_the_vector_path_where_one_exists() {
             assert_eq!(bank.simd_level(), expected, "p={p} k={k}");
         }
     }
-    // m = 128 Kbit needs 17 address bits, past the 16-bit packed H3 fields
-    // the vector hash reads: scalar even where AVX2 exists.
+    // m = 128 Kbit needs 17 address bits, past the two address bytes the
+    // vector hash looks up: scalar even where AVX2 exists.
     let filters: Vec<ParallelBloomFilter> = (0..8)
         .map(|_| ParallelBloomFilter::new(BloomParams::new(4, 17), NGramSpec::PAPER.bits(), 99))
         .collect();
