@@ -1468,6 +1468,165 @@ mod tests {
         assert_eq!(decoded.encode(), bytes);
     }
 
+    /// A snapshot in which every counter, shard field and histogram
+    /// bucket that can tell two wire positions apart holds its own value.
+    fn golden_snapshot() -> MetricsSnapshot {
+        let m = ServiceMetrics::with_topology(vec!["en".into(), "español".into()], 2);
+        m.record_document(
+            0,
+            500,
+            &SpanRecord {
+                doc_bytes: 1000,
+                shard: 0,
+                total_us: 400,
+                queue_us: 90,
+                classify_us: 250,
+                ..SpanRecord::default()
+            },
+        );
+        m.record_document(
+            1,
+            900,
+            &SpanRecord {
+                doc_bytes: 2000,
+                shard: 1,
+                total_us: 5000,
+                queue_us: 20_000,
+                classify_us: 1_000_000,
+                ..SpanRecord::default()
+            },
+        );
+        for us in [40, 40, 2000] {
+            m.record_drain(Duration::from_micros(us));
+        }
+        for events in [3, 3, 3, 1, 200] {
+            m.record_wake(events);
+        }
+        let counters = [
+            &m.connections,
+            &m.connections_current,
+            &m.connections_peak,
+            &m.accepts_rejected,
+            &m.outbound_stalls,
+            &m.outbound_queue_peak,
+            &m.slow_consumer_resets,
+            &m.channels_current,
+            &m.channels_peak,
+            &m.channel_resets,
+            &m.data_frames,
+            &m.payload_copies,
+            &m.documents,
+            &m.bytes,
+            &m.ngrams,
+            &m.protocol_errors,
+            &m.watchdog_resets,
+            &m.worker_panics,
+            &m.worker_restarts,
+            &m.busy_shed,
+            &m.drain_shed,
+            &m.channels_closed,
+            &m.faults_injected,
+            &m.reactor_wakeups,
+            &m.eventfd_wakes,
+            &m.read_syscalls,
+            &m.write_syscalls,
+            &m.short_read_continuations,
+        ];
+        for (i, c) in (1u64..).zip(counters) {
+            c.store(0x0100 * i + i, Ordering::Relaxed);
+        }
+        for (s, base) in [(0, 0x1000u64), (1, 0x2000)] {
+            let shard = m.shard(s).unwrap();
+            let fields = [
+                &shard.docs,
+                &shard.busy_ns,
+                &shard.queue_depth,
+                &shard.queue_depth_peak,
+                &shard.parked,
+                &shard.jobs,
+            ];
+            for (f, c) in (1u64..).zip(fields) {
+                c.store(base + f, Ordering::Relaxed);
+            }
+        }
+        m.set_simd("avx2");
+        let mut snap = m.snapshot();
+        snap.spans = vec![SpanRecord {
+            trace_id: 0xDEAD_BEEF,
+            conn: 3,
+            channel: 1,
+            shard: 0,
+            doc_seq: 9,
+            flags: 1 | 8,
+            fault: 7,
+            doc_bytes: 4096,
+            end_ns: 1_000_000,
+            total_us: 450,
+            queue_us: 90,
+            classify_us: 250,
+            drain_us: 40,
+        }];
+        snap
+    }
+
+    /// The StatsReport bytes of [`golden_snapshot`], as the wire schema
+    /// fixed them. Older `lcbloom stats`/`top` builds read exactly these
+    /// positions, so a change here breaks them: append, never reorder.
+    const GOLDEN_STATS_REPORT: &str = "
+        01000100e20000001c0001010000000000000202000000000000030300000000
+        0000040400000000000005050000000000000606000000000000070700000000
+        0000080800000000000009090000000000000a0a0000000000000b0b00000000
+        00000c0c0000000000000d0d0000000000000e0e0000000000000f0f00000000
+        0000101000000000000011110000000000001212000000000000131300000000
+        0000141400000000000015150000000000001616000000000000171700000000
+        0000181800000000000019190000000000001a1a0000000000001b1b00000000
+        00001c1c00000000000002002000000002000200656e01000000000000000800
+        65737061c3b16f6c010000000000000003006601000008006400000000000000
+        2c01000000000000e803000000000000b80b0000000000001027000000000000
+        3075000000000000a086010000000000e0930400000000000400090000000000
+        0000000000000000000000000100000000000000000000000000000001000000
+        0000000000000000000000000000000000000000000000000000000000000000
+        0000000001000000000000000000000000000000000000000000000000000000
+        0000000000000000000000000100000000000000000000000000000000000000
+        0000000000000000000000000000000000000000010000000000000000000000
+        0000000000000000000000000000000000000000000000000000000000000000
+        0000000000000000000000000100000000000000020000000000000000000000
+        0000000000000000000000000100000000000000000000000000000000000000
+        0000000000000000000000000000000000000000000000000000000004004a00
+        0000090001000000000000000000000000000000030000000000000000000000
+        0000000000000000000000000000000000000000000000000000000000000000
+        0000000001000000000000000500640000000200060001100000000000000210
+        0000000000000310000000000000041000000000000005100000000000000610
+        0000000000000120000000000000022000000000000003200000000000000420
+        0000000000000520000000000000062000000000000007004c00000001000000
+        4600efbeadde0000000003000000000000000100000009000000090700100000
+        40420f0000000000c2010000000000005a00000000000000fa00000000000000
+        2800000000000000090006000000040061767832
+    ";
+
+    #[test]
+    fn stats_report_bytes_match_the_golden_encoding() {
+        let snap = golden_snapshot();
+        let bytes = snap.encode();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden: String = GOLDEN_STATS_REPORT.split_whitespace().collect();
+        let rows: Vec<&str> = (0..hex.len())
+            .step_by(64)
+            .map(|i| &hex[i..(i + 64).min(hex.len())])
+            .collect();
+        assert!(
+            hex == golden,
+            "encoding drifted; it now reads:\n{}",
+            rows.join("\n")
+        );
+        let golden_bytes: Vec<u8> = (0..golden.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+            .collect();
+        let decoded = MetricsSnapshot::decode(&golden_bytes).expect("decode");
+        assert_eq!(decoded, snap);
+    }
+
     #[test]
     fn decoder_skips_unknown_sections_and_appended_fields() {
         let snap = busy_snapshot();
