@@ -15,8 +15,6 @@
 //!   decodable.
 //! - **panic** — no `unwrap`/`expect`/`panic!`-family macros or
 //!   unannotated indexing in the reactor's decode/write hot-path files.
-//! - **hist** — latency-bounds tables must match their declared lengths
-//!   and histogram arrays must be sized by `LATENCY_BUCKETS`.
 //!
 //! Escape hatch: `// lint: allow(<rule>, reason)` on the flagged line or
 //! within two lines above.

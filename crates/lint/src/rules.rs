@@ -35,7 +35,6 @@ pub const RULE_FORBID: &str = "forbid-unsafe";
 pub const RULE_SEQCST: &str = "seqcst";
 pub const RULE_REGISTRY: &str = "registry";
 pub const RULE_PANIC: &str = "panic";
-pub const RULE_HIST: &str = "hist";
 
 /// Files whose decode/write paths run per event-loop pass: panicking
 /// macros, `unwrap`/`expect`, and unannotated indexing are forbidden
@@ -99,12 +98,6 @@ pub fn scan_root(root: &Path) -> io::Result<Vec<Violation>> {
         rule_seqcst(f, &mut out);
         if HOT_PATH_FILES.contains(&f.rel.as_str()) {
             rule_hot_path_panic(f, &mut out);
-        }
-        if f.rel.starts_with("crates/service/") {
-            rule_histogram_literal(f, &mut out);
-        }
-        if f.rel == "crates/service/src/metrics.rs" {
-            rule_histogram_bounds(f, &mut out);
         }
     }
     rule_forbid_unsafe(root, &files, &mut out);
@@ -403,99 +396,6 @@ fn find_index_expr(line: &str) -> Option<usize> {
     None
 }
 
-/// Rule `hist` (part 1): histogram storage arrays must be sized by the
-/// shared `LATENCY_BUCKETS` constant, never a numeric literal that can
-/// drift when a bound is added.
-fn rule_histogram_literal(f: &SourceFile, out: &mut Vec<Violation>) {
-    let raw = f.raw_lines();
-    for (i, line) in f.stripped.lines().enumerate() {
-        let mut from = 0;
-        while let Some(at) = line[from..].find("[AtomicU64;") {
-            let rest = line[from + at + "[AtomicU64;".len()..].trim_start();
-            if rest.chars().next().is_some_and(|c| c.is_ascii_digit())
-                && !allowed(&raw, i, RULE_HIST)
-            {
-                out.push(Violation {
-                    path: f.rel.clone(),
-                    line: i + 1,
-                    rule: RULE_HIST,
-                    msg: "literal-sized `[AtomicU64; N]`; size histogram arrays with \
-                          `LATENCY_BUCKETS` (or a named constant)"
-                        .into(),
-                });
-            }
-            from += at + 1;
-        }
-    }
-}
-
-/// Rule `hist` (part 2): in `metrics.rs`, every `*_BOUNDS*` const's
-/// declared length must match its initializer's element count, and
-/// `LATENCY_BUCKETS` must be derived from `LATENCY_BOUNDS_US.len()` so
-/// the histograms can never disagree with the bounds table.
-fn rule_histogram_bounds(f: &SourceFile, out: &mut Vec<Violation>) {
-    let text = &f.stripped;
-    let mut from = 0;
-    while let Some(at) = text[from..].find("const ") {
-        let abs = from + at;
-        from = abs + 6;
-        let decl = &text[abs..];
-        let Some((name, len, elems)) = parse_bounds_const(decl) else {
-            continue;
-        };
-        if !name.contains("_BOUNDS") {
-            continue;
-        }
-        if len != elems {
-            out.push(Violation {
-                path: f.rel.clone(),
-                line: line_of(text, abs),
-                rule: RULE_HIST,
-                msg: format!(
-                    "`{name}` declares [u64; {len}] but its initializer has {elems} \
-                     elements"
-                ),
-            });
-        }
-    }
-    if text.contains("LATENCY_BUCKETS") {
-        let derived = text
-            .lines()
-            .any(|l| l.contains("LATENCY_BUCKETS") && l.contains("LATENCY_BOUNDS_US.len() + 1"));
-        if !derived {
-            out.push(Violation {
-                path: f.rel.clone(),
-                line: 1,
-                rule: RULE_HIST,
-                msg: "`LATENCY_BUCKETS` must be defined as `LATENCY_BOUNDS_US.len() + 1`".into(),
-            });
-        }
-    }
-}
-
-/// Parse `const NAME: [u64; N] = [a, b, c];` starting at `const `.
-/// Returns `(name, N, element_count)`.
-fn parse_bounds_const(decl: &str) -> Option<(String, usize, usize)> {
-    let after = decl.strip_prefix("const ")?;
-    let colon = after.find(':')?;
-    let name = after[..colon].trim().to_string();
-    let rest = &after[colon + 1..];
-    let ty = rest.trim_start();
-    let ty = ty.strip_prefix("[u64;")?;
-    let close = ty.find(']')?;
-    let n: usize = ty[..close].trim().parse().ok()?;
-    let init = &ty[close + 1..];
-    let open = init.find('[')?;
-    let end = init[open..].find(']')?;
-    let body = &init[open + 1..open + end];
-    let elems = body.split(',').filter(|s| !s.trim().is_empty()).count();
-    Some((name, n, elems))
-}
-
-fn line_of(text: &str, byte: usize) -> usize {
-    text[..byte].matches('\n').count() + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,15 +411,6 @@ mod tests {
         assert!(find_index_expr("fn f(buf: &mut [u8]) {}").is_none());
         assert!(find_index_expr("return [a, b];").is_none());
         assert!(find_index_expr("let [a, b] = pair;").is_none());
-    }
-
-    #[test]
-    fn bounds_const_parser() {
-        let (name, n, elems) =
-            parse_bounds_const("const LATENCY_BOUNDS_US: [u64; 3] = [1, 2, 3];").unwrap();
-        assert_eq!((name.as_str(), n, elems), ("LATENCY_BOUNDS_US", 3, 3));
-        let (_, n, elems) = parse_bounds_const("const X_BOUNDS: [u64; 4] = [1, 2];").unwrap();
-        assert_eq!((n, elems), (4, 2));
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! cannot be shown to fire is indistinguishable from a lint that never
 //! ran.
 
-use crate::rules::{
-    scan_root, RULE_FORBID, RULE_HIST, RULE_PANIC, RULE_REGISTRY, RULE_SEQCST, RULE_UNSAFE,
-};
+use crate::rules::{scan_root, RULE_FORBID, RULE_PANIC, RULE_REGISTRY, RULE_SEQCST, RULE_UNSAFE};
 use std::fs;
 use std::path::Path;
 
@@ -29,7 +27,6 @@ fn plant_and_check(root: &Path) -> Result<(), String> {
         RULE_SEQCST,
         RULE_REGISTRY,
         RULE_PANIC,
-        RULE_HIST,
     ] {
         if fired.contains(&rule) {
             println!("self-test: seeded `{rule}` violation fires");
@@ -160,19 +157,6 @@ pub fn gather(p: *const u32) -> u32 {
 }
 "#,
     ),
-    // Bounds length mismatch, literal-sized histogram storage, and a
-    // LATENCY_BUCKETS not derived from the bounds table.
-    (
-        "crates/service/src/metrics.rs",
-        r#"#![forbid(unsafe_code)]
-use std::sync::atomic::AtomicU64;
-pub const LATENCY_BOUNDS_US: [u64; 3] = [100, 300];
-pub const LATENCY_BUCKETS: usize = 9;
-pub struct H {
-    latency: [AtomicU64; 9],
-}
-"#,
-    ),
 ];
 
 /// The same tree with every violation repaired; the scan must be silent.
@@ -240,17 +224,6 @@ pub fn hot(v: Option<u32>) -> u32 {
 pub fn gather(p: *const u32) -> u32 {
     // safety: caller guarantees `p` points into a live, padded table row.
     unsafe { p.read_unaligned() }
-}
-"#,
-    ),
-    (
-        "crates/service/src/metrics.rs",
-        r#"#![forbid(unsafe_code)]
-use std::sync::atomic::AtomicU64;
-pub const LATENCY_BOUNDS_US: [u64; 2] = [100, 300];
-pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_US.len() + 1;
-pub struct H {
-    latency: [AtomicU64; LATENCY_BUCKETS],
 }
 "#,
     ),

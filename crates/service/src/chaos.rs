@@ -1,4 +1,4 @@
-//! Deterministic, seeded fault injection for the service stack.
+//! Seeded fault injection for the service stack.
 //!
 //! The paper's serving scenario is hostile, unbounded traffic; the only
 //! way to *know* the stack degrades instead of wedging is to inject the
@@ -6,10 +6,12 @@
 //! (every document gets exactly one result-or-fault; results that arrive
 //! are bit-identical to in-process classify). This module is the
 //! injection side of that proof: a [`ChaosConfig`] names per-site fault
-//! rates, and a [`FaultPlan`] turns them into a *replayable* schedule —
-//! every decision is a pure function of `(seed, site, per-site draw
-//! index)`, so a failing chaos run reproduces from its seed alone, no
-//! timing luck involved.
+//! rates, and a [`FaultPlan`] turns them into decisions. Each decision is
+//! a pure function of `(seed, site, per-site draw index)`, but a site's
+//! draw index is one counter for the whole pool ([`FaultPlan`]'s
+//! `draws`), so which frame gets the n-th draw depends on thread
+//! interleaving: a seed does not replay a run's fault schedule. Making
+//! it replay is an open ROADMAP item ("Make the chaos plan replay").
 //!
 //! Injection sites (all opt-in, all zero-cost when unset):
 //!
@@ -34,11 +36,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-site fault rates, all probabilities in `[0, 1]` per draw, plus the
-/// seed that makes the schedule deterministic. `Default` is all-zero: no
-/// faults, no overhead beyond an `Option` check.
+/// seed the draws derive from. `Default` is all-zero: no faults, no
+/// overhead beyond an `Option` check.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosConfig {
-    /// Seed for the whole plan; the same seed replays the same schedule.
+    /// Seed for the whole plan. The same seed gives each site the same
+    /// sequence of draws, but which frame takes each draw depends on
+    /// thread interleaving, so a run's fault schedule does not replay.
     pub seed: u64,
     /// Probability a socket read is truncated to a few bytes.
     pub short_read: f64,

@@ -28,6 +28,7 @@ use lc_wire::{
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
 /// Words per Data frame when streaming (64 KiB payloads).
@@ -282,14 +283,13 @@ impl ClassifyClient {
         len: u64,
     ) -> Result<ServedResult, ClientError> {
         check_size(len)?;
-        let words = len.div_ceil(8);
-        if let Err(e) = self.send_document(reader, len, words) {
+        if let Err(e) = self.send_document_on(0, reader, len, len.div_ceil(8)) {
             // The server session is mid-transfer; a Reset re-arms it so
             // this client stays usable after a local reader failure.
             let _ = WireCommand::Reset.encode(&mut self.stream);
             return Err(e);
         }
-        self.take_result(self.checksum)
+        self.take_result(0, self.checksum)
     }
 
     /// Classify a batch of in-memory documents over this one connection,
@@ -301,46 +301,7 @@ impl ClassifyClient {
         docs: &[&[u8]],
         window: usize,
     ) -> Result<Vec<ServedResult>, ClientError> {
-        let window = window.max(1);
-        let mut results = Vec::with_capacity(docs.len());
-        let mut in_flight: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        for doc in docs {
-            let len = doc.len() as u64;
-            if let Err(e) = check_size(len) {
-                // Local validation failure, but earlier documents are
-                // still in flight: realign before bailing like every
-                // other error path here.
-                self.drain_mux(in_flight.len());
-                return Err(e);
-            }
-            let words = len.div_ceil(8);
-            if let Err(e) = self.send_document(&mut io::Cursor::new(doc), len, words) {
-                let _ = WireCommand::Reset.encode(&mut self.stream);
-                self.drain_mux(in_flight.len());
-                return Err(e);
-            }
-            in_flight.push_back(self.checksum);
-            if in_flight.len() >= window {
-                let sent = in_flight.pop_front().expect("window is nonempty");
-                match self.take_result(sent) {
-                    Ok(r) => results.push(r),
-                    Err(e) => {
-                        self.drain_mux(in_flight.len());
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        while let Some(sent) = in_flight.pop_front() {
-            match self.take_result(sent) {
-                Ok(r) => results.push(r),
-                Err(e) => {
-                    self.drain_mux(in_flight.len());
-                    return Err(e);
-                }
-            }
-        }
-        Ok(results)
+        self.pipeline(docs, 0..=0, window)
     }
 
     /// Stamp `id` as the wire-propagated trace context on every `Size`
@@ -425,14 +386,7 @@ impl ClassifyClient {
             let _ = WireCommand::Reset.encode_on(channel, &mut self.stream);
             return Err(e);
         }
-        let sent = self.checksum;
-        let (resp_channel, resp) = self.read_response_mux()?;
-        if resp_channel != channel {
-            return Err(ClientError::UnexpectedResponse(format!(
-                "response on channel {resp_channel}, expected {channel}"
-            )));
-        }
-        Self::pair_result(resp, sent)
+        self.take_result(channel, self.checksum)
     }
 
     /// Classify a batch of in-memory documents over this one connection,
@@ -447,12 +401,26 @@ impl ClassifyClient {
         channels: u16,
         window: usize,
     ) -> Result<Vec<ServedResult>, ClientError> {
-        let channels = channels.max(1);
+        self.pipeline(docs, 1..=channels.max(1), window)
+    }
+
+    /// The pipelined batch loop of [`ClassifyClient::classify_many`]
+    /// (`lanes` = channel 0 alone) and
+    /// [`ClassifyClient::classify_many_mux`] (channels `1..=N`): document
+    /// `i` rides channel `lanes.start() + i % lanes.len()`, with up to
+    /// `window` documents in flight in total. Results come back in
+    /// document order.
+    fn pipeline(
+        &mut self,
+        docs: &[&[u8]],
+        lanes: RangeInclusive<u16>,
+        window: usize,
+    ) -> Result<Vec<ServedResult>, ClientError> {
+        let first = *lanes.start();
         let window = window.max(1);
         // Per-channel FIFO of (document index, sent checksum): responses
         // on one channel arrive in that channel's submit order.
-        let mut pending: Vec<VecDeque<(usize, u64)>> =
-            (0..channels).map(|_| VecDeque::new()).collect();
+        let mut pending: Vec<VecDeque<(usize, u64)>> = lanes.map(|_| VecDeque::new()).collect();
         let mut results: Vec<Option<ServedResult>> = docs.iter().map(|_| None).collect();
         // The responses still owed are exactly the entries left in the
         // lanes — correct on every error path, including a fault response
@@ -462,8 +430,8 @@ impl ClassifyClient {
             pending.iter().map(VecDeque::len).sum()
         };
         for (i, doc) in docs.iter().enumerate() {
-            let lane = i % channels as usize;
-            let channel = lane as u16 + 1;
+            let lane = i % pending.len();
+            let channel = first + lane as u16;
             let len = doc.len() as u64;
             if let Err(e) = check_size(len) {
                 self.drain_mux(owed(&pending));
@@ -478,14 +446,14 @@ impl ClassifyClient {
             }
             pending[lane].push_back((i, self.checksum));
             while owed(&pending) >= window {
-                if let Err(e) = self.take_result_mux(&mut pending, &mut results) {
+                if let Err(e) = self.take_result_mux(first, &mut pending, &mut results) {
                     self.drain_mux(owed(&pending));
                     return Err(e);
                 }
             }
         }
         while owed(&pending) > 0 {
-            if let Err(e) = self.take_result_mux(&mut pending, &mut results) {
+            if let Err(e) = self.take_result_mux(first, &mut pending, &mut results) {
                 self.drain_mux(owed(&pending));
                 return Err(e);
             }
@@ -675,15 +643,18 @@ impl ClassifyClient {
     }
 
     /// Read one channel-tagged response and file it against the oldest
-    /// document pending on that channel.
+    /// document pending on that channel; `pending[j]` is channel
+    /// `first + j`'s queue.
     fn take_result_mux(
         &mut self,
+        first: u16,
         pending: &mut [VecDeque<(usize, u64)>],
         results: &mut [Option<ServedResult>],
     ) -> Result<(), ClientError> {
         let (channel, resp) = self.read_response_mux()?;
-        let entry = pending
-            .get_mut(channel.wrapping_sub(1) as usize)
+        let entry = channel
+            .checked_sub(first)
+            .and_then(|lane| pending.get_mut(usize::from(lane)))
             .and_then(VecDeque::pop_front);
         let Some((idx, sent)) = entry else {
             // No document pending on this channel. Connection-level faults
@@ -750,23 +721,16 @@ impl ClassifyClient {
         }
     }
 
-    /// Read the next response frame and pair it with the document whose
-    /// sent-words checksum was `sent`.
-    fn take_result(&mut self, sent: u64) -> Result<ServedResult, ClientError> {
-        let resp = self.read_response()?;
+    /// Read the next response frame, which must be on `channel`, and pair
+    /// it with the document whose sent-words checksum was `sent`.
+    fn take_result(&mut self, channel: u16, sent: u64) -> Result<ServedResult, ClientError> {
+        let (resp_channel, resp) = self.read_response_mux()?;
+        if resp_channel != channel {
+            return Err(ClientError::UnexpectedResponse(format!(
+                "response on channel {resp_channel}, expected {channel}"
+            )));
+        }
         Self::pair_result(resp, sent)
-    }
-
-    /// Stream Size + Data frames + EoD + Query for one document on
-    /// channel 0 (v1 framing), leaving the XOR checksum of the sent words
-    /// in `self.checksum`.
-    fn send_document<R: Read>(
-        &mut self,
-        reader: &mut R,
-        len: u64,
-        words: u64,
-    ) -> Result<(), ClientError> {
-        self.send_document_on(0, reader, len, words)
     }
 
     /// Stream Size + Data frames + EoD + Query for one document on

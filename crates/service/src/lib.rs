@@ -81,9 +81,8 @@ pub use chaos::{ChaosConfig, FaultPlan, FaultSite};
 pub use client::{ClassifyClient, ClientError, RetryPolicy, ServedResult};
 pub use lc_reactor::{install_termination_handler, raise_nofile_limit, termination_requested};
 pub use metrics::{
-    histogram_percentile_us, latency_bucket, MetricsSnapshot, ServiceMetrics, ShardCounters,
-    ShardDelta, ShardStats, SnapshotDecodeError, StatsDelta, EVENTS_PER_WAKE_BOUNDS,
-    LATENCY_BOUNDS_US, LATENCY_BUCKETS, STATS_SCHEMA_VERSION,
+    EventsPerWake, Histogram, HistogramSnapshot, MetricsSnapshot, Micros, Scale, ServiceMetrics,
+    ShardCounters, ShardDelta, ShardStats, SnapshotDecodeError, StatsDelta, STATS_SCHEMA_VERSION,
 };
 pub use outbound::{high_water_op, MaskOp, ResponseSink};
 pub use server::{serve, ServerHandle, ServiceConfig};

@@ -18,62 +18,230 @@
 //! takes a lock and never fences, which is what keeps the
 //! instrumentation cheap enough to leave on. Only a span the plane keeps
 //! (sampled, slow or faulted) takes its shard buffer's lock.
+//!
+//! Each scalar counter and each shard field is declared once, in the
+//! `stat_fields!` tables below, whose order is the StatsReport wire
+//! order; every histogram is a [`Histogram`], which owns the only bucket
+//! array.
 
 use crate::sync::{AtomicU64, Ordering};
 use crate::trace::{SpanRecord, SpanSet};
+use std::marker::PhantomData;
 use std::time::Duration;
 
-/// Upper bounds of the latency histogram buckets, in microseconds; one
-/// implicit overflow bucket follows the last bound. Shared by the
+/// Bounds per histogram scale.
+const BOUNDS: usize = 8;
+
+/// Buckets per histogram: the bounds plus one overflow bucket.
+const BUCKETS: usize = BOUNDS + 1;
+
+/// The bucket bounds a [`Histogram`] counts against: ascending inclusive
+/// upper bounds, with one implicit overflow bucket after the last.
+pub trait Scale {
+    /// The bucket upper bounds.
+    const BOUNDS: [u64; BOUNDS];
+}
+
+/// Microseconds in half-decade buckets (100 µs … 300 ms). Shared by the
 /// end-to-end histogram, all three stage histograms, and the client-side
-/// `--timing` buckets, so client and server latency diff bucket-for-bucket.
-pub const LATENCY_BOUNDS_US: [u64; 8] = [100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000];
+/// `--timing` histograms, so client and server latency diff
+/// bucket-for-bucket.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Micros;
 
-/// Upper bounds of the events-per-epoll-wake histogram; one implicit
-/// overflow bucket follows. A healthy loaded reactor batches (right-heavy
-/// distribution); a distribution stuck at 1 event/wake under load means
-/// the loop is thrashing on wakeups.
-pub const EVENTS_PER_WAKE_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-/// Histogram length: the shared bounds plus the overflow bucket.
-pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_US.len() + 1;
-
-/// Bucket index for a measured duration under [`LATENCY_BOUNDS_US`].
-/// Public so client-side `--timing` fills bucket-compatible histograms.
-pub fn latency_bucket(d: Duration) -> usize {
-    us_bucket(d.as_micros() as u64)
+impl Scale for Micros {
+    const BOUNDS: [u64; BOUNDS] = [100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000];
 }
 
-fn us_bucket(us: u64) -> usize {
-    LATENCY_BOUNDS_US
-        .iter()
-        .position(|&b| us <= b)
-        .unwrap_or(LATENCY_BOUNDS_US.len())
+/// Events delivered per epoll wake, in powers of two. A healthy loaded
+/// reactor batches (right-heavy distribution); a distribution stuck at 1
+/// event/wake under load means the loop is thrashing on wakeups.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventsPerWake;
+
+impl Scale for EventsPerWake {
+    const BOUNDS: [u64; BOUNDS] = [1, 2, 4, 8, 16, 32, 64, 128];
 }
 
-/// One worker shard's live counters (relaxed atomics, updated by the
-/// reactor on enqueue and the shard thread on dequeue/apply).
+/// A live fixed-bucket histogram on the bounds of `S`: one relaxed atomic
+/// count per bucket.
 #[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Documents whose results latched on this shard. Summed across
-    /// shards this equals the global `documents` counter — both are
-    /// incremented by the same `record_document` call.
-    pub docs: AtomicU64,
-    /// Nanoseconds the shard thread spent applying commands (busy time;
-    /// compare across shards to see the static-hash imbalance).
-    pub busy_ns: AtomicU64,
-    /// Jobs currently sitting in the shard's queue, as a two's-complement
-    /// signed count: the reactor counts a job in after its send succeeded,
-    /// so the shard thread may count it out first and take the gauge to
-    /// -1 for a moment. Read it through a snapshot, which clamps at 0.
-    pub queue_depth: AtomicU64,
-    /// Deepest the queue ever got.
-    pub queue_depth_peak: AtomicU64,
-    /// Commands parked in a connection's stall list because this shard's
-    /// queue was full (the reactor's park-and-retry path).
-    pub parked: AtomicU64,
-    /// Jobs ever enqueued to this shard.
-    pub jobs: AtomicU64,
+pub struct Histogram<S> {
+    buckets: [AtomicU64; BUCKETS],
+    scale: PhantomData<S>,
+}
+
+impl<S: Scale> Histogram<S> {
+    /// Count one sample of `v` in the first bucket whose bound is at least
+    /// `v` (the overflow bucket past the last bound).
+    pub fn record(&self, v: u64) {
+        let i = S::BOUNDS.iter().position(|&b| v <= b).unwrap_or(BOUNDS);
+        self.buckets[i].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Point-in-time copy of the counts.
+    pub fn snapshot(&self) -> HistogramSnapshot<S> {
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            scale: PhantomData,
+        }
+    }
+}
+
+/// Plain-data copy of a [`Histogram`].
+///
+/// Its [`Display`](std::fmt::Display) form is the shared percentile line,
+/// `n=<samples> p50<b> p95<b> p99<b>`, each percentile read as `≤<bound>`,
+/// `><last bound>` in the overflow bucket, or `-` with no samples.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HistogramSnapshot<S> {
+    buckets: [u64; BUCKETS],
+    scale: PhantomData<S>,
+}
+
+impl<S: Scale> HistogramSnapshot<S> {
+    /// Counts per bucket: one per bound of `S`, then the overflow bucket.
+    pub fn buckets(&self) -> &[u64; BUCKETS] {
+        &self.buckets
+    }
+
+    /// Samples counted.
+    pub fn total(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// Approximate percentile: the upper bound of the bucket holding the
+    /// `q`-th percentile sample (`q` in `0.0..=1.0`), `u64::MAX` when it
+    /// lands in the overflow bucket, or `None` with no samples.
+    ///
+    /// **Overflow sentinel:** `Some(u64::MAX)` means "beyond the last
+    /// bound", *not* a measured value. Renderers must special-case it — as
+    /// `> 300000 µs`, or JSON `{"gt_us": 300000}` — never serialize the raw
+    /// sentinel (casting it to a signed type produces the misleading `-1`
+    /// this note exists to prevent).
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        let total = self.total();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &count) in self.buckets.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Some(S::BOUNDS.get(i).copied().unwrap_or(u64::MAX));
+            }
+        }
+        Some(u64::MAX)
+    }
+
+    /// The non-empty buckets as (upper bound, count); the overflow
+    /// bucket's bound is `None`.
+    pub fn nonzero(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(i, &count)| (S::BOUNDS.get(i).copied(), count))
+    }
+}
+
+impl<S: Scale> std::fmt::Display for HistogramSnapshot<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n={}", self.total())?;
+        for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            match self.percentile(q) {
+                None => write!(f, " {label}-")?,
+                Some(u64::MAX) => write!(f, " {label}>{}", S::BOUNDS[BOUNDS - 1])?,
+                Some(bound) => write!(f, " {label}≤{bound}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Declares a live struct of relaxed `AtomicU64` counters and its
+/// plain-data `u64` copy from one field list, whose order is the fields'
+/// StatsReport wire order: new fields are appended, never reordered, so
+/// old decoders keep reading the prefix they know. Fields that are not
+/// counters go in the two structs' own braces.
+macro_rules! stat_fields {
+    (
+        $(#[$live_attr:meta])*
+        pub struct $Live:ident { $($live_rest:tt)* }
+        $(#[$plain_attr:meta])*
+        pub struct $Plain:ident { $($plain_rest:tt)* }
+        in wire order {
+            $( $(#[$doc:meta])* $field:ident, )+
+        }
+    ) => {
+        $(#[$live_attr])*
+        pub struct $Live {
+            $( $(#[$doc])* pub $field: AtomicU64, )+
+            $($live_rest)*
+        }
+
+        $(#[$plain_attr])*
+        pub struct $Plain {
+            $( $(#[$doc])* pub $field: u64, )+
+            $($plain_rest)*
+        }
+
+        impl $Live {
+            /// Relaxed loads of the listed counters, in wire order.
+            fn load_fields(&self, into: &mut $Plain) {
+                $( into.$field = self.$field.load(Ordering::Relaxed); )+
+            }
+        }
+
+        impl $Plain {
+            /// How many counters the list declares.
+            const FIELDS: usize = [$(stringify!($field)),+].len();
+
+            /// The listed counters in wire order.
+            fn fields(&self) -> [u64; Self::FIELDS] {
+                [$(self.$field),+]
+            }
+
+            /// The listed counters in wire order, for the decoder to fill.
+            fn fields_mut(&mut self) -> [&mut u64; Self::FIELDS] {
+                [$(&mut self.$field),+]
+            }
+        }
+    };
+}
+
+stat_fields! {
+    /// One worker shard's live counters (relaxed atomics, updated by the
+    /// reactor on enqueue and the shard thread on dequeue/apply).
+    #[derive(Debug, Default)]
+    pub struct ShardCounters {}
+
+    /// Plain-data copy of one shard's counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ShardStats {}
+
+    in wire order {
+        /// Documents whose results latched on this shard. Summed across
+        /// shards this equals the global `documents` counter — both are
+        /// incremented by the same `record_document` call.
+        docs,
+        /// Nanoseconds the shard thread spent applying commands (busy time;
+        /// compare across shards to see the static-hash imbalance).
+        busy_ns,
+        /// Jobs currently sitting in the shard's queue. Live, it is a
+        /// two's-complement signed count: the reactor counts a job in after
+        /// its send succeeded, so the shard thread may count it out first
+        /// and take the gauge to -1 for a moment. A snapshot clamps it at 0.
+        queue_depth,
+        /// Deepest the queue ever got.
+        queue_depth_peak,
+        /// Commands parked in a connection's stall list because this shard's
+        /// queue was full (the reactor's park-and-retry path).
+        parked,
+        /// Jobs ever enqueued to this shard.
+        jobs,
+    }
 }
 
 impl ShardCounters {
@@ -99,135 +267,151 @@ impl ShardCounters {
     }
 
     fn snapshot(&self) -> ShardStats {
-        ShardStats {
-            docs: self.docs.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            queue_depth: (self.queue_depth.load(Ordering::Relaxed) as i64).max(0) as u64,
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
-        }
+        let mut s = ShardStats::default();
+        self.load_fields(&mut s);
+        s.queue_depth = (s.queue_depth as i64).max(0) as u64;
+        s
     }
 }
 
-/// Plain-data copy of one shard's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Documents latched on this shard.
-    pub docs: u64,
-    /// Nanoseconds spent applying commands.
-    pub busy_ns: u64,
-    /// Jobs in the queue at snapshot time.
-    pub queue_depth: u64,
-    /// Deepest the queue ever got.
-    pub queue_depth_peak: u64,
-    /// Commands parked because the queue was full.
-    pub parked: u64,
-    /// Jobs ever enqueued.
-    pub jobs: u64,
-}
+stat_fields! {
+    /// Shared counters, updated by connection handlers and workers.
+    #[derive(Debug, Default)]
+    pub struct ServiceMetrics {
+        /// Language names, index-aligned with `lang_wins` (empty when the
+        /// metrics were built without names; rendering falls back to
+        /// `lang{i}`).
+        lang_names: Vec<String>,
+        /// Wins per language, index-aligned with the classifier's names.
+        lang_wins: Vec<AtomicU64>,
+        /// End-to-end latency (Size accepted → result latched).
+        latency: Histogram<Micros>,
+        /// Queue-wait stage (the document's own frames, shard-enqueued →
+        /// worker-dequeued).
+        queue_wait: Histogram<Micros>,
+        /// Classify stage (time feeding the classifier, `finish` included).
+        classify: Histogram<Micros>,
+        /// Response-drain stage (response enqueued → its bytes flushed into
+        /// the socket).
+        response_drain: Histogram<Micros>,
+        /// Events-per-epoll-wake distribution.
+        events_per_wake: Histogram<EventsPerWake>,
+        /// Per-worker-shard counters (empty when built without topology).
+        shards: Vec<ShardCounters>,
+        /// Classify probe path (`"scalar"`/`"avx2"`), set once at startup from
+        /// the classifier's resolved dispatch; empty until then.
+        simd: std::sync::OnceLock<String>,
+        /// The span plane: keeps the stage records of faulted documents, and
+        /// of sampled and slow ones under [`ServiceMetrics::with_span_policy`].
+        spans: SpanSet,
+    }
 
-/// Shared counters, updated by connection handlers and workers.
-#[derive(Debug)]
-pub struct ServiceMetrics {
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Currently open connections.
-    pub connections_current: AtomicU64,
-    /// Most connections ever open at once.
-    pub connections_peak: AtomicU64,
-    /// Accepts refused because `connections_current` hit the cap.
-    pub accepts_rejected: AtomicU64,
-    /// Times a connection's outbound queue crossed the high-water mark
-    /// (its `EPOLLIN` was masked until the queue drained).
-    pub outbound_stalls: AtomicU64,
-    /// Deepest any single connection's outbound queue ever got, in bytes —
-    /// the high-water mark slow-consumer tuning needs to see without a
-    /// debugger (compare against `outbound_high_water`).
-    pub outbound_queue_peak: AtomicU64,
-    /// Connections reset for sitting above high-water past the
-    /// slow-consumer deadline.
-    pub slow_consumer_resets: AtomicU64,
-    /// Channels (independent command streams; a v1 connection is one
-    /// channel) currently open across all connections.
-    pub channels_current: AtomicU64,
-    /// Most channels ever open at once.
-    pub channels_peak: AtomicU64,
-    /// Reset commands applied to a channel's session (mid-document Resets
-    /// discard the in-flight document).
-    pub channel_resets: AtomicU64,
-    /// Data frames decoded by the reactors.
-    pub data_frames: AtomicU64,
-    /// Data payloads *copied* between reactor and worker. The zero-copy
-    /// frame path keeps this at exactly 0 (payloads travel as refcounted
-    /// rope segments); `tests/service_e2e.rs` asserts it.
-    pub payload_copies: AtomicU64,
-    /// Documents classified (results latched).
-    pub documents: AtomicU64,
-    /// Document payload bytes classified.
-    pub bytes: AtomicU64,
-    /// N-grams tested.
-    pub ngrams: AtomicU64,
-    /// Protocol faults answered with an Error response.
-    pub protocol_errors: AtomicU64,
-    /// Stalled sessions reset by the watchdog.
-    pub watchdog_resets: AtomicU64,
-    /// Worker panics caught by the per-document unwind guard (the
-    /// document got an `EngineFault` response; the thread survived).
-    pub worker_panics: AtomicU64,
-    /// Worker shard threads respawned by the pool supervisor after a
-    /// panic escaped the per-document guard.
-    pub worker_restarts: AtomicU64,
-    /// Documents shed with a `Busy` fault: the channel's shard queue was
-    /// full while the connection's outbound queue sat over high-water.
-    pub busy_shed: AtomicU64,
-    /// Documents refused with a `ShuttingDown` fault during drain.
-    pub drain_shed: AtomicU64,
-    /// Channels torn down early by a `CloseChannel` control frame.
-    pub channels_closed: AtomicU64,
-    /// Faults injected by an active chaos plan (0 in production).
-    pub faults_injected: AtomicU64,
-    /// `epoll_wait` returns across all reactor threads.
-    pub reactor_wakeups: AtomicU64,
-    /// Eventfd wake tokens drained (worker → reactor nudges that landed;
-    /// diff against `wake_drop` chaos to see swallowed wakes).
-    pub eventfd_wakes: AtomicU64,
-    /// Socket read syscalls issued by the reactors.
-    pub read_syscalls: AtomicU64,
-    /// Socket write passes issued by the reactors (write-through and
-    /// queued flushes).
-    pub write_syscalls: AtomicU64,
-    /// Reads that left a frame mid-reassembly (short-read continuations:
-    /// the frame completed only on a later read).
-    pub short_read_continuations: AtomicU64,
-    /// Language names, index-aligned with `lang_wins` (empty when the
-    /// metrics were built without names; rendering falls back to
-    /// `lang{i}`).
-    lang_names: Vec<String>,
-    /// Wins per language, index-aligned with the classifier's names.
-    lang_wins: Vec<AtomicU64>,
-    /// End-to-end latency histogram (Size accepted → result latched):
-    /// `LATENCY_BOUNDS_US` buckets + overflow.
-    latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Queue-wait stage histogram (the document's own frames,
-    /// shard-enqueued → worker-dequeued).
-    queue_wait: [AtomicU64; LATENCY_BUCKETS],
-    /// Classify stage histogram (time feeding the classifier, `finish`
-    /// included).
-    classify: [AtomicU64; LATENCY_BUCKETS],
-    /// Response-drain stage histogram (response enqueued → its bytes
-    /// flushed into the socket).
-    response_drain: [AtomicU64; LATENCY_BUCKETS],
-    /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
-    events_per_wake: [AtomicU64; LATENCY_BUCKETS],
-    /// Per-worker-shard counters (empty when built without topology).
-    shards: Vec<ShardCounters>,
-    /// Classify probe path (`"scalar"`/`"avx2"`), set once at startup from
-    /// the classifier's resolved dispatch; empty until then.
-    simd: std::sync::OnceLock<String>,
-    /// The span plane: keeps the stage records of faulted documents, and
-    /// of sampled and slow ones under [`ServiceMetrics::with_span_policy`].
-    spans: SpanSet,
+    /// Plain-data copy of [`ServiceMetrics`].
+    ///
+    /// **Consistency:** see [`ServiceMetrics::snapshot`] — individual
+    /// counters are exact, cross-counter relationships can tear by the
+    /// in-flight window mid-load, and a quiesced snapshot is exact across
+    /// all counters.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        /// Language names, index-aligned with `lang_wins`.
+        pub lang_names: Vec<String>,
+        /// Wins per language.
+        pub lang_wins: Vec<u64>,
+        /// End-to-end latency histogram.
+        pub latency: HistogramSnapshot<Micros>,
+        /// Queue-wait stage histogram.
+        pub queue_wait: HistogramSnapshot<Micros>,
+        /// Classify stage histogram.
+        pub classify: HistogramSnapshot<Micros>,
+        /// Response-drain stage histogram.
+        pub response_drain: HistogramSnapshot<Micros>,
+        /// Events-per-epoll-wake distribution.
+        pub events_per_wake: HistogramSnapshot<EventsPerWake>,
+        /// Per-worker-shard counters.
+        pub shards: Vec<ShardStats>,
+        /// Trace spans drained by a `GetStats(detail=2)` answer: faulted
+        /// documents always, sampled and slow ones per `--trace-sample` /
+        /// `--trace-slow-us`; empty in plain snapshots and at lower detail.
+        pub spans: Vec<SpanRecord>,
+        /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
+        /// empty when the server predates the field or never set it.
+        pub simd: String,
+    }
+
+    in wire order {
+        /// Connections accepted over the server's lifetime.
+        connections,
+        /// Currently open connections.
+        connections_current,
+        /// Most connections ever open at once.
+        connections_peak,
+        /// Accepts refused because `connections_current` hit the
+        /// `max_connections` cap.
+        accepts_rejected,
+        /// Times a connection's outbound queue crossed the high-water mark
+        /// (its `EPOLLIN` was masked until the queue drained).
+        outbound_stalls,
+        /// Deepest any single connection's outbound queue ever got, in bytes —
+        /// the high-water mark slow-consumer tuning needs to see without a
+        /// debugger (compare against `outbound_high_water`).
+        outbound_queue_peak,
+        /// Connections reset for sitting above high-water past the
+        /// slow-consumer deadline.
+        slow_consumer_resets,
+        /// Channels (independent command streams; a v1 connection is one
+        /// channel) currently open across all connections.
+        channels_current,
+        /// Most channels ever open at once.
+        channels_peak,
+        /// Reset commands applied to a channel's session (mid-document Resets
+        /// discard the in-flight document).
+        channel_resets,
+        /// Data frames decoded by the reactors.
+        data_frames,
+        /// Data payloads *copied* between reactor and worker. The zero-copy
+        /// frame path keeps this at exactly 0 (payloads travel as refcounted
+        /// rope segments); `tests/service_e2e.rs` asserts it.
+        payload_copies,
+        /// Documents classified (results latched).
+        documents,
+        /// Document payload bytes classified.
+        bytes,
+        /// N-grams tested.
+        ngrams,
+        /// Protocol faults answered with an Error response.
+        protocol_errors,
+        /// Stalled sessions reset by the watchdog.
+        watchdog_resets,
+        /// Worker panics caught by the per-document unwind guard (the
+        /// document got an `EngineFault` response; the thread survived).
+        worker_panics,
+        /// Worker shard threads respawned by the pool supervisor after a
+        /// panic escaped the per-document guard.
+        worker_restarts,
+        /// Documents shed with a `Busy` fault: the channel's shard queue was
+        /// full while the connection's outbound queue sat over high-water.
+        busy_shed,
+        /// Documents refused with a `ShuttingDown` fault during drain.
+        drain_shed,
+        /// Channels torn down early by a `CloseChannel` control frame.
+        channels_closed,
+        /// Faults injected by an active chaos plan (0 in production).
+        faults_injected,
+        /// `epoll_wait` returns across all reactor threads.
+        reactor_wakeups,
+        /// Eventfd wake tokens drained (worker → reactor nudges that landed;
+        /// diff against `wake_drop` chaos to see swallowed wakes).
+        eventfd_wakes,
+        /// Socket read syscalls issued by the reactors.
+        read_syscalls,
+        /// Socket write passes issued by the reactors (write-through and
+        /// queued flushes).
+        write_syscalls,
+        /// Reads that left a frame mid-reassembly (short-read continuations:
+        /// the frame completed only on a later read).
+        short_read_continuations,
+    }
 }
 
 impl ServiceMetrics {
@@ -241,44 +425,11 @@ impl ServiceMetrics {
     /// `workers` per-shard counter blocks (what `serve` builds).
     pub fn with_topology(lang_names: Vec<String>, workers: usize) -> Self {
         Self {
-            connections: AtomicU64::new(0),
-            connections_current: AtomicU64::new(0),
-            connections_peak: AtomicU64::new(0),
-            accepts_rejected: AtomicU64::new(0),
-            outbound_stalls: AtomicU64::new(0),
-            outbound_queue_peak: AtomicU64::new(0),
-            slow_consumer_resets: AtomicU64::new(0),
-            channels_current: AtomicU64::new(0),
-            channels_peak: AtomicU64::new(0),
-            channel_resets: AtomicU64::new(0),
-            data_frames: AtomicU64::new(0),
-            payload_copies: AtomicU64::new(0),
-            documents: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            ngrams: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            watchdog_resets: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            busy_shed: AtomicU64::new(0),
-            drain_shed: AtomicU64::new(0),
-            channels_closed: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            eventfd_wakes: AtomicU64::new(0),
-            read_syscalls: AtomicU64::new(0),
-            write_syscalls: AtomicU64::new(0),
-            short_read_continuations: AtomicU64::new(0),
             lang_wins: (0..lang_names.len()).map(|_| AtomicU64::new(0)).collect(),
             lang_names,
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_wait: std::array::from_fn(|_| AtomicU64::new(0)),
-            classify: std::array::from_fn(|_| AtomicU64::new(0)),
-            response_drain: std::array::from_fn(|_| AtomicU64::new(0)),
-            events_per_wake: std::array::from_fn(|_| AtomicU64::new(0)),
             shards: (0..workers).map(|_| ShardCounters::default()).collect(),
-            simd: std::sync::OnceLock::new(),
             spans: SpanSet::new(0, 0, workers),
+            ..Self::default()
         }
     }
 
@@ -324,9 +475,9 @@ impl ServiceMetrics {
         if let Some(s) = self.shards.get(usize::from(record.shard)) {
             s.docs.fetch_add(1, Ordering::Relaxed);
         }
-        self.latency[us_bucket(record.total_us)].fetch_add(1, Ordering::Relaxed);
-        self.queue_wait[us_bucket(record.queue_us)].fetch_add(1, Ordering::Relaxed);
-        self.classify[us_bucket(record.classify_us)].fetch_add(1, Ordering::Relaxed);
+        self.latency.record(record.total_us);
+        self.queue_wait.record(record.queue_us);
+        self.classify.record(record.classify_us);
     }
 
     /// Record a response's drain time (response enqueued → its bytes
@@ -334,7 +485,7 @@ impl ServiceMetrics {
     /// the only place that sees the actual flush — under backpressure
     /// this is the stage that grows.
     pub fn record_drain(&self, drain: Duration) {
-        self.response_drain[latency_bucket(drain)].fetch_add(1, Ordering::Relaxed);
+        self.response_drain.record(drain.as_micros() as u64);
     }
 
     /// Record one `epoll_wait` return delivering `events` events. Timeout
@@ -346,12 +497,7 @@ impl ServiceMetrics {
         if events == 0 {
             return;
         }
-        let n = events as u64;
-        let bucket = EVENTS_PER_WAKE_BOUNDS
-            .iter()
-            .position(|&b| n <= b)
-            .unwrap_or(EVENTS_PER_WAKE_BOUNDS.len());
-        self.events_per_wake[bucket].fetch_add(1, Ordering::Relaxed);
+        self.events_per_wake.record(events as u64);
     }
 
     /// Point-in-time copy of all counters.
@@ -379,142 +525,26 @@ impl ServiceMetrics {
         // loom model test `shard_docs_never_exceed_documents` pins this
         // order.
         let shards: Vec<ShardStats> = self.shards.iter().map(ShardCounters::snapshot).collect();
+        let mut counters = MetricsSnapshot::default();
+        self.load_fields(&mut counters);
         MetricsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_current: self.connections_current.load(Ordering::Relaxed),
-            connections_peak: self.connections_peak.load(Ordering::Relaxed),
-            accepts_rejected: self.accepts_rejected.load(Ordering::Relaxed),
-            outbound_stalls: self.outbound_stalls.load(Ordering::Relaxed),
-            outbound_queue_peak: self.outbound_queue_peak.load(Ordering::Relaxed),
-            slow_consumer_resets: self.slow_consumer_resets.load(Ordering::Relaxed),
-            channels_current: self.channels_current.load(Ordering::Relaxed),
-            channels_peak: self.channels_peak.load(Ordering::Relaxed),
-            channel_resets: self.channel_resets.load(Ordering::Relaxed),
-            data_frames: self.data_frames.load(Ordering::Relaxed),
-            payload_copies: self.payload_copies.load(Ordering::Relaxed),
-            documents: self.documents.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            ngrams: self.ngrams.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            watchdog_resets: self.watchdog_resets.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            busy_shed: self.busy_shed.load(Ordering::Relaxed),
-            drain_shed: self.drain_shed.load(Ordering::Relaxed),
-            channels_closed: self.channels_closed.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            eventfd_wakes: self.eventfd_wakes.load(Ordering::Relaxed),
-            read_syscalls: self.read_syscalls.load(Ordering::Relaxed),
-            write_syscalls: self.write_syscalls.load(Ordering::Relaxed),
-            short_read_continuations: self.short_read_continuations.load(Ordering::Relaxed),
             lang_names: self.lang_names.clone(),
             lang_wins: self
                 .lang_wins
                 .iter()
                 .map(|w| w.load(Ordering::Relaxed))
                 .collect(),
-            latency: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
-            queue_wait: std::array::from_fn(|i| self.queue_wait[i].load(Ordering::Relaxed)),
-            classify: std::array::from_fn(|i| self.classify[i].load(Ordering::Relaxed)),
-            response_drain: std::array::from_fn(|i| self.response_drain[i].load(Ordering::Relaxed)),
-            events_per_wake: std::array::from_fn(|i| {
-                self.events_per_wake[i].load(Ordering::Relaxed)
-            }),
+            latency: self.latency.snapshot(),
+            queue_wait: self.queue_wait.snapshot(),
+            classify: self.classify.snapshot(),
+            response_drain: self.response_drain.snapshot(),
+            events_per_wake: self.events_per_wake.snapshot(),
             shards,
             spans: Vec::new(),
             simd: self.simd.get().cloned().unwrap_or_default(),
+            ..counters
         }
     }
-}
-
-/// Plain-data copy of [`ServiceMetrics`].
-///
-/// **Consistency:** see [`ServiceMetrics::snapshot`] — individual
-/// counters are exact, cross-counter relationships can tear by the
-/// in-flight window mid-load, and a quiesced snapshot is exact across
-/// all counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Currently open connections.
-    pub connections_current: u64,
-    /// Most connections ever open at once.
-    pub connections_peak: u64,
-    /// Accepts refused at the `max_connections` cap.
-    pub accepts_rejected: u64,
-    /// Outbound queues that crossed the high-water mark.
-    pub outbound_stalls: u64,
-    /// Deepest any single connection's outbound queue ever got (bytes).
-    pub outbound_queue_peak: u64,
-    /// Connections reset by the slow-consumer policy.
-    pub slow_consumer_resets: u64,
-    /// Channels currently open across all connections.
-    pub channels_current: u64,
-    /// Most channels ever open at once.
-    pub channels_peak: u64,
-    /// Reset commands applied to channel sessions.
-    pub channel_resets: u64,
-    /// Data frames decoded.
-    pub data_frames: u64,
-    /// Data payloads copied on the reactor→worker path (0 = zero-copy).
-    pub payload_copies: u64,
-    /// Documents classified.
-    pub documents: u64,
-    /// Document payload bytes classified.
-    pub bytes: u64,
-    /// N-grams tested.
-    pub ngrams: u64,
-    /// Protocol faults answered with an Error response.
-    pub protocol_errors: u64,
-    /// Stalled sessions reset by the watchdog.
-    pub watchdog_resets: u64,
-    /// Worker panics caught by the per-document unwind guard.
-    pub worker_panics: u64,
-    /// Worker shard threads respawned by the pool supervisor.
-    pub worker_restarts: u64,
-    /// Documents shed with a `Busy` fault under dual saturation.
-    pub busy_shed: u64,
-    /// Documents refused with a `ShuttingDown` fault during drain.
-    pub drain_shed: u64,
-    /// Channels torn down early by `CloseChannel`.
-    pub channels_closed: u64,
-    /// Faults injected by an active chaos plan.
-    pub faults_injected: u64,
-    /// `epoll_wait` returns across all reactors.
-    pub reactor_wakeups: u64,
-    /// Eventfd wake tokens drained.
-    pub eventfd_wakes: u64,
-    /// Socket read syscalls issued by the reactors.
-    pub read_syscalls: u64,
-    /// Socket write passes issued by the reactors.
-    pub write_syscalls: u64,
-    /// Reads that left a frame mid-reassembly.
-    pub short_read_continuations: u64,
-    /// Language names, index-aligned with `lang_wins`.
-    pub lang_names: Vec<String>,
-    /// Wins per language.
-    pub lang_wins: Vec<u64>,
-    /// End-to-end latency histogram (`LATENCY_BOUNDS_US` + overflow).
-    pub latency: [u64; LATENCY_BUCKETS],
-    /// Queue-wait stage histogram (same buckets).
-    pub queue_wait: [u64; LATENCY_BUCKETS],
-    /// Classify stage histogram (same buckets).
-    pub classify: [u64; LATENCY_BUCKETS],
-    /// Response-drain stage histogram (same buckets).
-    pub response_drain: [u64; LATENCY_BUCKETS],
-    /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
-    pub events_per_wake: [u64; LATENCY_BUCKETS],
-    /// Per-worker-shard counters.
-    pub shards: Vec<ShardStats>,
-    /// Trace spans drained by a `GetStats(detail=2)` answer: faulted
-    /// documents always, sampled and slow ones per `--trace-sample` /
-    /// `--trace-slow-us`; empty in plain snapshots and at lower detail.
-    pub spans: Vec<SpanRecord>,
-    /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
-    /// empty when the server predates the field or never set it.
-    pub simd: String,
 }
 
 /// Failure decoding a [`MetricsSnapshot`] wire blob.
@@ -551,7 +581,6 @@ const SEC_SPANS: u16 = 7;
 const SEC_HISTORY: u16 = 8;
 const SEC_SIMD: u16 = 9;
 
-const SHARD_FIELDS: usize = 6;
 const STAGE_COUNT: usize = 4;
 /// Serialized [`SpanRecord`] size; each record is length-prefixed by the
 /// section header so a future schema can append fields that old decoders
@@ -607,82 +636,29 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read `n` `u64`s into `slots` in order. Values past the last slot
+    /// are fields a newer schema appended: read and dropped.
+    fn u64s_into<'s>(
+        &mut self,
+        n: usize,
+        slots: impl IntoIterator<Item = &'s mut u64>,
+    ) -> Result<(), SnapshotDecodeError> {
+        let mut slots = slots.into_iter();
+        for _ in 0..n {
+            let v = self.u64()?;
+            if let Some(slot) = slots.next() {
+                *slot = v;
+            }
+        }
+        Ok(())
+    }
+
     fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 }
 
 impl MetricsSnapshot {
-    /// The scalar counters in their fixed wire order. New counters are
-    /// appended here (and to `assign_counter`) — never reordered — so old
-    /// decoders keep reading the prefix they know.
-    fn counter_values(&self) -> Vec<u64> {
-        vec![
-            self.connections,
-            self.connections_current,
-            self.connections_peak,
-            self.accepts_rejected,
-            self.outbound_stalls,
-            self.outbound_queue_peak,
-            self.slow_consumer_resets,
-            self.channels_current,
-            self.channels_peak,
-            self.channel_resets,
-            self.data_frames,
-            self.payload_copies,
-            self.documents,
-            self.bytes,
-            self.ngrams,
-            self.protocol_errors,
-            self.watchdog_resets,
-            self.worker_panics,
-            self.worker_restarts,
-            self.busy_shed,
-            self.drain_shed,
-            self.channels_closed,
-            self.faults_injected,
-            self.reactor_wakeups,
-            self.eventfd_wakes,
-            self.read_syscalls,
-            self.write_syscalls,
-            self.short_read_continuations,
-        ]
-    }
-
-    fn assign_counter(&mut self, i: usize, v: u64) {
-        match i {
-            0 => self.connections = v,
-            1 => self.connections_current = v,
-            2 => self.connections_peak = v,
-            3 => self.accepts_rejected = v,
-            4 => self.outbound_stalls = v,
-            5 => self.outbound_queue_peak = v,
-            6 => self.slow_consumer_resets = v,
-            7 => self.channels_current = v,
-            8 => self.channels_peak = v,
-            9 => self.channel_resets = v,
-            10 => self.data_frames = v,
-            11 => self.payload_copies = v,
-            12 => self.documents = v,
-            13 => self.bytes = v,
-            14 => self.ngrams = v,
-            15 => self.protocol_errors = v,
-            16 => self.watchdog_resets = v,
-            17 => self.worker_panics = v,
-            18 => self.worker_restarts = v,
-            19 => self.busy_shed = v,
-            20 => self.drain_shed = v,
-            21 => self.channels_closed = v,
-            22 => self.faults_injected = v,
-            23 => self.reactor_wakeups = v,
-            24 => self.eventfd_wakes = v,
-            25 => self.read_syscalls = v,
-            26 => self.write_syscalls = v,
-            27 => self.short_read_continuations = v,
-            _ => {} // a newer server's counter this build does not know
-        }
-    }
-
     /// Serialize into the versioned StatsReport wire schema: a `u16`
     /// schema version, then self-describing sections (`tag: u16`,
     /// `len: u32`, body). Unknown sections and appended fields are
@@ -692,7 +668,7 @@ impl MetricsSnapshot {
         let mut out = Vec::with_capacity(512);
         put_u16(&mut out, STATS_SCHEMA_VERSION);
 
-        let counters = self.counter_values();
+        let counters = self.fields();
         let mut body = Vec::with_capacity(2 + counters.len() * 8);
         put_u16(&mut body, counters.len() as u16);
         for v in counters {
@@ -712,43 +688,36 @@ impl MetricsSnapshot {
         put_section(&mut out, SEC_LANGS, &body);
 
         let mut body = Vec::new();
-        put_u16(&mut body, LATENCY_BOUNDS_US.len() as u16);
-        for b in LATENCY_BOUNDS_US {
+        put_u16(&mut body, BOUNDS as u16);
+        for b in Micros::BOUNDS {
             put_u64(&mut body, b);
         }
         put_u16(&mut body, STAGE_COUNT as u16);
-        put_u16(&mut body, LATENCY_BUCKETS as u16);
+        put_u16(&mut body, BUCKETS as u16);
         for stage in [
             &self.latency,
             &self.queue_wait,
             &self.classify,
             &self.response_drain,
         ] {
-            for &count in stage {
+            for &count in stage.buckets() {
                 put_u64(&mut body, count);
             }
         }
         put_section(&mut out, SEC_STAGES, &body);
 
         let mut body = Vec::new();
-        put_u16(&mut body, LATENCY_BUCKETS as u16);
-        for &count in &self.events_per_wake {
+        put_u16(&mut body, BUCKETS as u16);
+        for &count in self.events_per_wake.buckets() {
             put_u64(&mut body, count);
         }
         put_section(&mut out, SEC_WAKE_HIST, &body);
 
         let mut body = Vec::new();
         put_u16(&mut body, self.shards.len() as u16);
-        put_u16(&mut body, SHARD_FIELDS as u16);
+        put_u16(&mut body, ShardStats::FIELDS as u16);
         for s in &self.shards {
-            for v in [
-                s.docs,
-                s.busy_ns,
-                s.queue_depth,
-                s.queue_depth_peak,
-                s.parked,
-                s.jobs,
-            ] {
+            for v in s.fields() {
                 put_u64(&mut body, v);
             }
         }
@@ -803,10 +772,7 @@ impl MetricsSnapshot {
             match tag {
                 SEC_COUNTERS => {
                     let n = body.u16()? as usize;
-                    for i in 0..n {
-                        let v = body.u64()?;
-                        snap.assign_counter(i, v);
-                    }
+                    body.u64s_into(n, snap.fields_mut())?;
                 }
                 SEC_LANGS => {
                     let n = body.u16()? as usize;
@@ -829,53 +795,30 @@ impl MetricsSnapshot {
                     }
                     let stages = body.u16()? as usize;
                     let buckets = body.u16()? as usize;
-                    for s in 0..stages {
-                        for b in 0..buckets {
-                            let v = body.u64()?;
-                            if b >= LATENCY_BUCKETS {
-                                continue;
-                            }
-                            match s {
-                                0 => snap.latency[b] = v,
-                                1 => snap.queue_wait[b] = v,
-                                2 => snap.classify[b] = v,
-                                3 => snap.response_drain[b] = v,
-                                _ => {}
-                            }
-                        }
+                    let mut known = [
+                        &mut snap.latency,
+                        &mut snap.queue_wait,
+                        &mut snap.classify,
+                        &mut snap.response_drain,
+                    ]
+                    .into_iter();
+                    for _ in 0..stages {
+                        let slots = known.next().into_iter().flat_map(|h| h.buckets.iter_mut());
+                        body.u64s_into(buckets, slots)?;
                     }
                 }
                 SEC_WAKE_HIST => {
                     let buckets = body.u16()? as usize;
-                    for b in 0..buckets {
-                        let v = body.u64()?;
-                        if b < LATENCY_BUCKETS {
-                            snap.events_per_wake[b] = v;
-                        }
-                    }
+                    body.u64s_into(buckets, snap.events_per_wake.buckets.iter_mut())?;
                 }
                 SEC_SHARDS => {
                     let n = body.u16()? as usize;
                     let fields = body.u16()? as usize;
                     let mut shards = Vec::with_capacity(n);
                     for _ in 0..n {
-                        let mut vals = [0u64; SHARD_FIELDS];
-                        for (f, slot) in vals.iter_mut().enumerate().take(fields.min(SHARD_FIELDS))
-                        {
-                            let _ = f;
-                            *slot = body.u64()?;
-                        }
-                        for _ in SHARD_FIELDS..fields {
-                            let _ = body.u64()?; // fields from a newer schema
-                        }
-                        shards.push(ShardStats {
-                            docs: vals[0],
-                            busy_ns: vals[1],
-                            queue_depth: vals[2],
-                            queue_depth_peak: vals[3],
-                            parked: vals[4],
-                            jobs: vals[5],
-                        });
+                        let mut shard = ShardStats::default();
+                        body.u64s_into(fields, shard.fields_mut())?;
+                        shards.push(shard);
                     }
                     snap.shards = shards;
                 }
@@ -923,33 +866,6 @@ impl MetricsSnapshot {
         }
         Ok(snap)
     }
-}
-
-/// Approximate percentile over a fixed-bucket latency histogram: returns
-/// the upper bound (µs) of the bucket holding the `q`-th percentile
-/// sample (`q` in `0.0..=1.0`), `u64::MAX` when it lands in the overflow
-/// bucket, or `None` for an empty histogram. Client `--timing` and
-/// server stage histograms share this, so the two sides diff cleanly.
-///
-/// **Overflow sentinel:** `Some(u64::MAX)` means "beyond the last bound"
-/// (> `LATENCY_BOUNDS_US.last()`), *not* a measured value. Renderers
-/// must special-case it — as `> 300000 µs`, or JSON `{"gt_us": 300000}`
-/// — never serialize the raw sentinel (casting it to a signed type
-/// produces the misleading `-1` this note exists to prevent).
-pub fn histogram_percentile_us(buckets: &[u64; LATENCY_BUCKETS], q: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &count) in buckets.iter().enumerate() {
-        seen += count;
-        if seen >= rank {
-            return Some(LATENCY_BOUNDS_US.get(i).copied().unwrap_or(u64::MAX));
-        }
-    }
-    Some(u64::MAX)
 }
 
 impl std::fmt::Display for MetricsSnapshot {
@@ -1033,13 +949,10 @@ impl std::fmt::Display for MetricsSnapshot {
             }
         }
         write!(f, " | latency(µs)")?;
-        for (i, count) in self.latency.iter().enumerate() {
-            if *count == 0 {
-                continue;
-            }
-            match LATENCY_BOUNDS_US.get(i) {
+        for (bound, count) in self.latency.nonzero() {
+            match bound {
                 Some(b) => write!(f, " ≤{b}:{count}")?,
-                None => write!(f, " >{}:{count}", LATENCY_BOUNDS_US[i - 1])?,
+                None => write!(f, " >{}:{count}", Micros::BOUNDS[BOUNDS - 1])?,
             }
         }
         if !self.simd.is_empty() {
@@ -1160,9 +1073,9 @@ mod tests {
         assert_eq!(s.bytes, 600);
         assert_eq!(s.ngrams, 591);
         assert_eq!(s.lang_wins, vec![0, 2, 1]);
-        assert_eq!(s.latency[0], 1); // ≤ 100 µs
-        assert_eq!(s.latency[3], 1); // ≤ 3 ms
-        assert_eq!(s.latency[LATENCY_BOUNDS_US.len()], 1); // overflow
+        assert_eq!(s.latency.buckets()[0], 1); // ≤ 100 µs
+        assert_eq!(s.latency.buckets()[3], 1); // ≤ 3 ms
+        assert_eq!(s.latency.buckets()[BOUNDS], 1); // overflow
     }
 
     #[test]
@@ -1198,26 +1111,30 @@ mod tests {
         m.record_drain(Duration::from_micros(90));
         m.record_drain(Duration::from_millis(20));
         let s = m.snapshot();
-        assert_eq!(s.latency[1], 1); // 250 µs ≤ 300
-        assert_eq!(s.latency[LATENCY_BOUNDS_US.len()], 1); // 1 s overflows
-        assert_eq!(s.queue_wait[0], 1); // 50 µs ≤ 100
-        assert_eq!(s.queue_wait[LATENCY_BOUNDS_US.len()], 1); // 950 ms > 300 ms
-        assert_eq!(s.classify[1], 1); // 150 µs ≤ 300
-        assert_eq!(s.classify[0], 1); // 100 µs ≤ 100 (exact boundary)
-        assert_eq!(s.response_drain[0], 1); // 90 µs ≤ 100
-        assert_eq!(s.response_drain[5], 1); // 20 ms ≤ 30 ms
+        assert_eq!(s.latency.buckets()[1], 1); // 250 µs ≤ 300
+        assert_eq!(s.latency.buckets()[BOUNDS], 1); // 1 s overflows
+        assert_eq!(s.queue_wait.buckets()[0], 1); // 50 µs ≤ 100
+        assert_eq!(s.queue_wait.buckets()[BOUNDS], 1); // 950 ms > 300 ms
+        assert_eq!(s.classify.buckets()[1], 1); // 150 µs ≤ 300
+        assert_eq!(s.classify.buckets()[0], 1); // 100 µs ≤ 100 (exact boundary)
+        assert_eq!(s.response_drain.buckets()[0], 1); // 90 µs ≤ 100
+        assert_eq!(s.response_drain.buckets()[5], 1); // 20 ms ≤ 30 ms
     }
 
     #[test]
     fn stage_bucket_boundaries_are_inclusive() {
-        for (i, &bound) in LATENCY_BOUNDS_US.iter().enumerate() {
+        for (i, &bound) in Micros::BOUNDS.iter().enumerate() {
             let m = ServiceMetrics::new(1);
             m.record_drain(Duration::from_micros(bound));
-            assert_eq!(m.snapshot().response_drain[i], 1, "bound {bound} µs");
+            assert_eq!(
+                m.snapshot().response_drain.buckets()[i],
+                1,
+                "bound {bound} µs"
+            );
             m.record_drain(Duration::from_micros(bound + 1));
             let next = m.snapshot();
             assert_eq!(
-                next.response_drain[i + 1],
+                next.response_drain.buckets()[i + 1],
                 1,
                 "just past bound {bound} µs lands one bucket up"
             );
@@ -1278,11 +1195,11 @@ mod tests {
         m.record_wake(0); // timeout tick: a wakeup, not a histogram entry
         let s = m.snapshot();
         assert_eq!(s.reactor_wakeups, 5);
-        assert_eq!(s.events_per_wake.iter().sum::<u64>(), 4);
-        assert_eq!(s.events_per_wake[0], 1); // 1
-        assert_eq!(s.events_per_wake[1], 1); // 2
-        assert_eq!(s.events_per_wake[3], 1); // 5 ≤ 8
-        assert_eq!(s.events_per_wake[EVENTS_PER_WAKE_BOUNDS.len()], 1); // 200
+        assert_eq!(s.events_per_wake.total(), 4);
+        assert_eq!(s.events_per_wake.buckets()[0], 1); // 1
+        assert_eq!(s.events_per_wake.buckets()[1], 1); // 2
+        assert_eq!(s.events_per_wake.buckets()[3], 1); // 5 ≤ 8
+        assert_eq!(s.events_per_wake.buckets()[BOUNDS], 1); // 200
     }
 
     #[test]
@@ -1400,15 +1317,19 @@ mod tests {
 
     #[test]
     fn percentiles_read_off_the_buckets() {
-        let mut buckets = [0u64; LATENCY_BUCKETS];
-        assert_eq!(histogram_percentile_us(&buckets, 0.5), None);
-        buckets[0] = 90; // ≤ 100 µs
-        buckets[2] = 9; // ≤ 1 ms
-        buckets[LATENCY_BUCKETS - 1] = 1; // overflow
-        assert_eq!(histogram_percentile_us(&buckets, 0.5), Some(100));
-        assert_eq!(histogram_percentile_us(&buckets, 0.95), Some(1_000));
-        assert_eq!(histogram_percentile_us(&buckets, 0.99), Some(1_000));
-        assert_eq!(histogram_percentile_us(&buckets, 1.0), Some(u64::MAX));
+        let mut h = HistogramSnapshot::<Micros>::default();
+        assert_eq!(h.percentile(0.5), None);
+        assert_eq!(h.to_string(), "n=0 p50- p95- p99-");
+        h.buckets[0] = 90; // ≤ 100 µs
+        h.buckets[2] = 9; // ≤ 1 ms
+        h.buckets[BOUNDS] = 1; // overflow
+        assert_eq!(h.percentile(0.5), Some(100));
+        assert_eq!(h.percentile(0.95), Some(1_000));
+        assert_eq!(h.percentile(0.99), Some(1_000));
+        assert_eq!(h.percentile(1.0), Some(u64::MAX));
+        assert_eq!(h.to_string(), "n=100 p50≤100 p95≤1000 p99≤1000");
+        h.buckets[BOUNDS] = 50;
+        assert_eq!(h.to_string(), "n=149 p50≤100 p95>300000 p99>300000");
     }
 
     fn busy_snapshot() -> MetricsSnapshot {
@@ -1663,7 +1584,7 @@ mod tests {
         // A future counters section with extra appended counters: replace
         // nothing, just append a second counters section carrying more
         // fields than we know (later sections overwrite earlier ones).
-        let counters = snap.counter_values();
+        let counters = snap.fields();
         let mut body = Vec::new();
         put_u16(&mut body, (counters.len() + 3) as u16);
         for v in &counters {
@@ -1743,14 +1664,17 @@ mod tests {
 
     use proptest::prelude::*;
 
-    fn arb_histogram() -> impl Strategy<Value = [u64; LATENCY_BUCKETS]> {
-        proptest::collection::vec(0u64..1 << 48, LATENCY_BUCKETS)
-            .prop_map(|v| std::array::from_fn(|i| v[i]))
+    fn arb_histogram<S: Scale + Copy + std::fmt::Debug>(
+    ) -> impl Strategy<Value = HistogramSnapshot<S>> {
+        proptest::collection::vec(0u64..1 << 48, BUCKETS).prop_map(|v| HistogramSnapshot {
+            buckets: std::array::from_fn(|i| v[i]),
+            scale: PhantomData,
+        })
     }
 
     prop_compose! {
         fn arb_snapshot()(
-            counters in proptest::collection::vec(0u64..u64::MAX / 2, 28),
+            counters in proptest::collection::vec(0u64..u64::MAX / 2, MetricsSnapshot::FIELDS),
             langs in proptest::collection::vec(
                 (proptest::collection::vec(any::<char>(), 0..12), 0u64..1 << 40), 0..6),
             latency in arb_histogram(),
@@ -1759,7 +1683,7 @@ mod tests {
             response_drain in arb_histogram(),
             events_per_wake in arb_histogram(),
             shards in proptest::collection::vec(
-                proptest::collection::vec(0u64..1 << 40, SHARD_FIELDS), 0..5),
+                proptest::collection::vec(0u64..1 << 40, ShardStats::FIELDS), 0..5),
             spans in proptest::collection::vec(
                 (any::<u64>(), 0u64..1 << 40, any::<u16>(), 0u16..64, any::<u32>(),
                  any::<u8>(), 0u8..12, any::<u32>(),
@@ -1779,13 +1703,12 @@ mod tests {
                 events_per_wake,
                 shards: shards
                     .iter()
-                    .map(|v| ShardStats {
-                        docs: v[0],
-                        busy_ns: v[1],
-                        queue_depth: v[2],
-                        queue_depth_peak: v[3],
-                        parked: v[4],
-                        jobs: v[5],
+                    .map(|v| {
+                        let mut shard = ShardStats::default();
+                        for (slot, &f) in shard.fields_mut().into_iter().zip(v) {
+                            *slot = f;
+                        }
+                        shard
                     })
                     .collect(),
                 spans: spans
@@ -1812,8 +1735,8 @@ mod tests {
                     .collect(),
                 ..MetricsSnapshot::default()
             };
-            for (i, &v) in counters.iter().enumerate() {
-                snap.assign_counter(i, v);
+            for (slot, v) in snap.fields_mut().into_iter().zip(counters) {
+                *slot = v;
             }
             snap
         }

@@ -59,9 +59,10 @@ pub struct ServiceConfig {
     /// values make slow-consumer behaviour observable quickly (tests,
     /// benches).
     pub send_buffer: usize,
-    /// Deterministic fault injection ([`ChaosConfig`]); `None` (or a
-    /// config with every rate at zero) serves clean. Same seed + same
-    /// client schedule ⇒ same fault schedule.
+    /// Seeded fault injection ([`ChaosConfig`]); `None` (or a config
+    /// with every rate at zero) serves clean. A seed fixes each site's
+    /// sequence of draws, not which frames they land on: that depends on
+    /// thread interleaving, so a seed does not replay a fault schedule.
     pub chaos: Option<ChaosConfig>,
     /// Head-based document trace sampling: keep 1-in-N spans (0 = off).
     /// Faulted and `trace_slow_us` documents are kept regardless; spans

@@ -520,7 +520,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::latency_bucket;
+    use crate::metrics::{Histogram, HistogramSnapshot, Micros};
     use crate::trace::{SpanSet, SPAN_SLOW};
     use lc_bloom::BloomParams;
     use lc_core::ClassifierBuilder;
@@ -836,10 +836,9 @@ mod tests {
         // The histograms read the same record.
         let snap = m.snapshot();
         assert_eq!(snap.bytes, doc.len() as u64);
-        assert_eq!(
-            snap.latency[latency_bucket(Duration::from_micros(r.total_us))],
-            1
-        );
+        let expected = Histogram::default();
+        expected.record(r.total_us);
+        assert_eq!(snap.latency, expected.snapshot());
     }
 
     #[test]
@@ -939,7 +938,12 @@ mod tests {
         let data = WireCommand::data_words(&words);
         assert_eq!(s.apply(&c, &m, data, Instant::now()), None);
         let snap = m.snapshot();
-        let bucket = |h: &[u64]| h.iter().position(|&n| n == 1).expect("one document");
+        let bucket = |h: &HistogramSnapshot<Micros>| {
+            h.buckets()
+                .iter()
+                .position(|&n| n == 1)
+                .expect("one document")
+        };
         assert!(bucket(&snap.classify) > 0, "classify must outlast 100 µs");
         assert!(
             bucket(&snap.latency) >= bucket(&snap.classify),

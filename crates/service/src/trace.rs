@@ -156,6 +156,13 @@ pub struct SpanSet {
     dropped: AtomicU64,
 }
 
+impl Default for SpanSet {
+    /// A plane for one shard that keeps only faulted documents.
+    fn default() -> Self {
+        Self::new(0, 0, 0)
+    }
+}
+
 impl SpanSet {
     /// A span plane for `shards` worker shards sampling 1-in-`sample`
     /// (0 = head sampling off; faults and `slow_us` still force-sample).

@@ -35,7 +35,7 @@
 use lcbloom::fpga::resources::ClassifierConfig;
 use lcbloom::prelude::*;
 use lcbloom::profile_store::ProfileStore;
-use lcbloom::service::{MetricsSnapshot, StatsDelta};
+use lcbloom::service::{Histogram, MetricsSnapshot, Micros, StatsDelta};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -336,7 +336,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         return Err("classify requires at least one file".into());
     }
     let timing = flags.contains_key("timing");
-    let mut hist = [0u64; lcbloom::service::LATENCY_BUCKETS];
+    let hist = Histogram::<Micros>::default();
     println!(
         "{:<40} {:<8} {:>8} {:>10}",
         "file", "language", "margin", "n-grams"
@@ -360,7 +360,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
             session.feed(&buf[..n]);
         }
         let r = session.finish();
-        hist[lcbloom::service::latency_bucket(started.elapsed())] += 1;
+        hist.record(started.elapsed().as_micros() as u64);
         println!(
             "{:<40} {:<8} {:>8.3} {:>10}",
             f,
@@ -370,7 +370,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         );
     }
     if timing {
-        print_timing(&hist);
+        println!("timing: {} µs", hist.snapshot());
     }
     Ok(())
 }
@@ -665,11 +665,11 @@ fn report_span_timing(client: &mut ClassifyClient) -> Result<(), String> {
         println!("timing: no sampled spans came back (is the server running with --trace-sample?)");
         return Ok(());
     }
-    let mut hist = [0u64; lcbloom::service::LATENCY_BUCKETS];
+    let hist = Histogram::<Micros>::default();
     for s in &spans {
-        hist[lcbloom::service::latency_bucket(std::time::Duration::from_micros(s.total_us))] += 1;
+        hist.record(s.total_us);
     }
-    print_timing(&hist);
+    println!("timing: {} µs", hist.snapshot());
     let n = spans.len() as u64;
     let mean =
         |pick: fn(&&lcbloom::service::SpanRecord) -> u64| spans.iter().map(pick).sum::<u64>() / n;
@@ -680,34 +680,6 @@ fn report_span_timing(client: &mut ClassifyClient) -> Result<(), String> {
         mean(|s| s.drain_us)
     );
     Ok(())
-}
-
-/// Render a percentile bound from [`lcbloom::service::histogram_percentile_us`]
-/// (`u64::MAX` is the overflow bucket).
-fn fmt_bound_us(v: u64) -> String {
-    if v == u64::MAX {
-        format!(">{}", lcbloom::service::LATENCY_BOUNDS_US[7])
-    } else {
-        format!("≤{v}")
-    }
-}
-
-/// Print client-side percentiles from a `--timing` histogram (the same
-/// buckets the server's stage histograms use, so the numbers compare
-/// bucket-for-bucket with `lcbloom stats`).
-fn print_timing(hist: &[u64; lcbloom::service::LATENCY_BUCKETS]) {
-    let n: u64 = hist.iter().sum();
-    let p = |q: f64| {
-        lcbloom::service::histogram_percentile_us(hist, q)
-            .map(fmt_bound_us)
-            .unwrap_or_else(|| "-".into())
-    };
-    println!(
-        "timing: n={n} p50{} p95{} p99{} µs",
-        p(0.50),
-        p(0.95),
-        p(0.99)
-    );
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -775,18 +747,7 @@ fn print_snapshot(snap: &MetricsSnapshot) {
         ("classify", &snap.classify),
         ("response-drain", &snap.response_drain),
     ] {
-        let p = |q: f64| {
-            lcbloom::service::histogram_percentile_us(hist, q)
-                .map(fmt_bound_us)
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "stage[{name}]: n={} p50{} p95{} p99{} µs",
-            hist.iter().sum::<u64>(),
-            p(0.50),
-            p(0.95),
-            p(0.99)
-        );
+        println!("stage[{name}]: {hist} µs");
     }
     println!(
         "reactor: wakeups={} eventfd={} reads={} writes={} short-read-continuations={}",
@@ -796,13 +757,13 @@ fn print_snapshot(snap: &MetricsSnapshot) {
         snap.write_syscalls,
         snap.short_read_continuations
     );
-    let wake_dist: Vec<String> = lcbloom::service::EVENTS_PER_WAKE_BOUNDS
-        .iter()
-        .map(|b| format!("≤{b}"))
-        .chain(std::iter::once("over".into()))
-        .zip(snap.events_per_wake.iter())
-        .filter(|&(_, &n)| n > 0)
-        .map(|(label, n)| format!("{label}:{n}"))
+    let wake_dist: Vec<String> = snap
+        .events_per_wake
+        .nonzero()
+        .map(|(bound, n)| match bound {
+            Some(b) => format!("≤{b}:{n}"),
+            None => format!("over:{n}"),
+        })
         .collect();
     if !wake_dist.is_empty() {
         println!("events-per-wake: {}", wake_dist.join(" "));

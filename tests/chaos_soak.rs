@@ -12,8 +12,11 @@
 //!    fault and keep serving; a killed worker thread is respawned by the
 //!    pool supervisor; clients reconnect and resubmit transparently.
 //!
-//! Everything replays from the fixed seed below — a failure here is
-//! reproducible, not a flake.
+//! The fixed seed below fixes each fault site's sequence of draws, not
+//! which frames they land on: a site's draw index is one pool-wide
+//! counter, so the frames hit depend on thread interleaving and a
+//! failure here need not reproduce from the seed (ROADMAP, "Make the
+//! chaos plan replay").
 
 use lcbloom::prelude::*;
 use lcbloom::service::{serve, ChaosConfig, RetryPolicy, ServerHandle, ServiceConfig};

@@ -1018,13 +1018,7 @@ fn wire_stats_match_the_in_process_snapshot_once_quiesced() {
     // makes a response visible to the peer a beat before its drain time is
     // recorded, so give that last record a moment to land.
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while server
-        .metrics()
-        .snapshot()
-        .response_drain
-        .iter()
-        .sum::<u64>()
-        < docs.len() as u64
+    while server.metrics().snapshot().response_drain.total() < docs.len() as u64
         && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(5));
@@ -1058,7 +1052,7 @@ fn wire_stats_match_the_in_process_snapshot_once_quiesced() {
         ("response-drain", &wire.response_drain),
     ] {
         assert_eq!(
-            hist.iter().sum::<u64>(),
+            hist.total(),
             wire.documents,
             "{name} histogram counts one entry per document"
         );
@@ -1139,7 +1133,7 @@ fn reactor_loop_counters_move_under_traffic() {
         "worker responses wake the reactor via eventfd"
     );
     assert!(
-        snap.events_per_wake.iter().sum::<u64>() > 0,
+        snap.events_per_wake.total() > 0,
         "events-per-wake histogram filled"
     );
     server.shutdown();
